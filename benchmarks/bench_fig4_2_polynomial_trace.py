@@ -9,7 +9,7 @@ further coefficient receive/forward; then the conservation pad)."""
 import numpy as np
 
 from repro.compiler import compile_w2
-from repro.machine import simulate
+from repro.machine import MachineRecorder, simulate
 from repro.machine.trace import format_two_cell_trace
 from repro.programs import polynomial
 
@@ -19,12 +19,14 @@ def test_polynomial_trace(benchmark, report):
     rng = np.random.default_rng(42)
     inputs = {"z": rng.uniform(-1, 1, 16), "c": rng.standard_normal(4)}
 
-    result = benchmark(simulate, program, inputs, 40)
+    result = benchmark(
+        lambda: simulate(program, inputs, record=MachineRecorder(io_limit=40))
+    )
     assert np.allclose(
         result.outputs["results"], np.polyval(inputs["c"], inputs["z"])
     )
 
-    cell0 = [e for e in result.trace if e.cell == 0]
+    cell0 = [e for e in result.record.trace if e.cell == 0]
     # Figure 4-2's opening on cell 0: receive coeff c[0]; receive temp
     # c[1]; send temp c[1]; ...
     assert cell0[0].kind == "receive"
@@ -35,5 +37,5 @@ def test_polynomial_trace(benchmark, report):
 
     report.section(
         "Figure 4-2: polynomial two-cell logical trace",
-        format_two_cell_trace(result.trace, max_rows=16),
+        format_two_cell_trace(result.record.trace, max_rows=16),
     )

@@ -12,6 +12,7 @@ from repro.cellcodegen.listing import format_cell_code
 from repro.compiler import decomposition_report
 from repro.iucodegen.codegen import IUBlock, IULoop
 from repro.lang import Channel, analyze, parse_module
+from repro.machine import MachineRecorder
 from repro.machine.trace import format_two_cell_trace
 from repro.timing import characterize_stream, input_stream, output_stream
 
@@ -117,8 +118,10 @@ def main() -> None:
     rng = np.random.default_rng(2)
     x = rng.standard_normal(12)
     w = np.array([0.25, 0.5, 0.25])
-    result = simulate(program, {"x": x, "w": w}, trace_limit=30)
-    print(format_two_cell_trace(result.trace, max_rows=14))
+    result = simulate(
+        program, {"x": x, "w": w}, record=MachineRecorder(io_limit=30)
+    )
+    print(format_two_cell_trace(result.record.trace, max_rows=14))
     print(f"\ntotal: {result.total_cycles} cycles; outputs verified:",
           np.allclose(result.outputs["y"], _reference(x, w)))
 

@@ -199,15 +199,13 @@ def _simulate_with_exports(program, args, telemetry=None, cache=None, faults=Non
     """Simulate honouring ``--trace-out`` / ``--metrics-out``."""
     inputs = dict(_parse_input(spec) for spec in args.input or [])
     _check_inputs(program, inputs)
+    trace = getattr(args, "trace", 0)
     trace_out = getattr(args, "trace_out", None)
     metrics_out = getattr(args, "metrics_out", None)
-    result = simulate(
-        program,
-        inputs,
-        trace_limit=getattr(args, "trace", 0),
-        record=bool(trace_out),
-        faults=faults,
-    )
+    recorder = None
+    if trace or trace_out:
+        recorder = obs.MachineRecorder(io_limit=trace)
+    result = simulate(program, inputs, record=recorder, faults=faults)
     if trace_out:
         obs.write_chrome_trace(
             trace_out, obs.simulation_trace_events(result, telemetry)
@@ -315,7 +313,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(
             "\n"
             + format_two_cell_trace(
-                result.trace, cells=cells, annotation=_cache_status(cache)
+                result.record.trace,
+                cells=cells,
+                annotation=_cache_status(cache),
             )
         )
     if args.output:

@@ -12,7 +12,7 @@ bounds are tight and that the engine fails loudly, never silently:
   slots, stalled cells, shrunk queues, corrupted cache entries,
   killed/hung batch workers);
 * :mod:`repro.faults.injector` — :class:`FaultInjector`, the runtime
-  layer threaded through :mod:`repro.machine` and :mod:`repro.exec`,
+  layer (the machine's fault seam, also used by :mod:`repro.exec`),
   plus :class:`FaultyQueue`, the integrity-checked queue that turns
   would-be-silent corruption into
   :class:`~repro.errors.SilentCorruptionDetected`.

@@ -13,24 +13,22 @@ retry.
 detection layer for them: it keeps a shadow copy of every enqueued word
 (modelling the queue memory's parity/ECC bits) and raises
 :class:`~repro.errors.SilentCorruptionDetected` the moment a dequeued
-word's bits disagree with the bits that were enqueued.  Clean runs never
-construct it — the machine builds plain :class:`TimedQueue` objects
-unless an injector is active, so the fault layer costs nothing and
-cannot perturb results when disabled.
+word's bits disagree with the bits that were enqueued.
+
+The injector is the injecting implementation of the machine's fault
+seam, :class:`~repro.machine.queue.LinkFactory`; clean runs use the
+seam's plain default and never construct a :class:`FaultyQueue`.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import TYPE_CHECKING
 
 from ..errors import SilentCorruptionDetected
-from ..machine.queue import TimedQueue
+from ..lang.ast import Channel
+from ..machine.queue import LinkFactory, TimedQueue
 from ..obs import get_telemetry
 from .plan import FaultKind, FaultSpec, InjectionPlan
-
-if TYPE_CHECKING:  # pragma: no cover
-    pass
 
 _PACK = struct.Struct("<d")
 
@@ -41,7 +39,7 @@ def flip_float_bits(value: float, bitmask: int) -> float:
     return _PACK.unpack(struct.pack("<Q", (bits ^ bitmask) & (2**64 - 1)))[0]
 
 
-class FaultInjector:
+class FaultInjector(LinkFactory):
     """Deterministic runtime injection for one (item, attempt) pair."""
 
     def __init__(
@@ -80,25 +78,36 @@ class FaultInjector:
             else:  # worker kill / hang
                 self._worker_fault = spec
 
-    @classmethod
-    def of(
-        cls, faults: "InjectionPlan | FaultInjector | None"
-    ) -> "FaultInjector | None":
-        """Normalise a ``faults=`` argument to an injector (or None)."""
-        if faults is None:
-            return None
-        if isinstance(faults, FaultInjector):
-            return faults
-        return cls(faults)
-
     def _record(self, spec: FaultSpec, detail: str = "") -> None:
         description = spec.describe() + (f" ({detail})" if detail else "")
         self.fired.append(description)
         get_telemetry().counter("fault.injected")
 
-    # Machine-level sites --------------------------------------------------
+    # Machine-level sites: the LinkFactory seam ----------------------------
 
-    def stall_cycles(self, cell: int) -> int:
+    def link(
+        self, index: int, channel: Channel, capacity: int | None
+    ) -> "FaultyQueue":
+        """An integrity-checked link, with any shrunk capacity."""
+        override = self._capacities.get((index, channel.value))
+        if override is not None:
+            self._record(
+                FaultSpec(
+                    kind=FaultKind.SHRINK_QUEUE,
+                    cell=index,
+                    channel=channel.value,
+                    capacity=override,
+                ),
+                detail=f"default {capacity}",
+            )
+            capacity = override
+        return FaultyQueue(
+            injector=self if index >= 1 else None,
+            name=f"link{index}.{channel.value}",
+            capacity=capacity,
+        )
+
+    def start_delay(self, cell: int) -> int:
         """Extra start-delay cycles injected into ``cell``."""
         cycles = self._stalls.get(cell, 0)
         if cycles:
@@ -107,23 +116,12 @@ class FaultInjector:
             )
         return cycles
 
-    def link_capacity(
-        self, link: int, channel: str, default: int | None
-    ) -> int | None:
-        """The (possibly shrunk) capacity of one inter-cell queue."""
-        override = self._capacities.get((link, channel))
-        if override is None:
-            return default
-        self._record(
-            FaultSpec(
-                kind=FaultKind.SHRINK_QUEUE,
-                cell=link,
-                channel=channel,
-                capacity=override,
-            ),
-            detail=f"default {default}",
-        )
-        return override
+    def after_run(self, links: list[dict[Channel, TimedQueue]]) -> None:
+        """Sweep every inter-cell link, including the words the program
+        never dequeued (the collector reads those directly)."""
+        for link in links[1:]:
+            for queue in link.values():
+                queue.verify_integrity()
 
     def on_enqueue(
         self, queue_name: str, value: float

@@ -1,14 +1,21 @@
 """The Warp machine simulator: cells, queues, IU address path, host
 feeder/collector, plus the AST-level reference interpreter."""
 
-from ..obs.metrics import CellMetrics, IUMetrics, MachineMetrics, QueueMetrics
+from ..obs.metrics import (
+    CellMetrics,
+    IUMetrics,
+    MachineMetrics,
+    MachineRecorder,
+    QueueMetrics,
+    TraceEvent,
+)
 from .array import SimulationResult, WarpMachine, simulate
-from .cell import CellExecutor, CellStats, TraceEvent
+from .cell import CellExecutor
 from .config import DEFAULT_CONFIG, CellConfig, IUConfig, WarpConfig
 from .host import HostMemory, collect_outputs, feed_input_queues
 from .iu_machine import IUMachine, run_iu_program
 from .plan import BlockPlan, DecodedInstr, ExecutionPlan
-from .queue import TimedQueue
+from .queue import LinkFactory, TimedQueue
 from .reference import interpret
 
 __all__ = [
@@ -16,7 +23,6 @@ __all__ = [
     "CellConfig",
     "CellExecutor",
     "CellMetrics",
-    "CellStats",
     "DEFAULT_CONFIG",
     "DecodedInstr",
     "ExecutionPlan",
@@ -24,7 +30,9 @@ __all__ = [
     "IUConfig",
     "IUMachine",
     "IUMetrics",
+    "LinkFactory",
     "MachineMetrics",
+    "MachineRecorder",
     "QueueMetrics",
     "SimulationResult",
     "TimedQueue",

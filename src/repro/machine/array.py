@@ -20,25 +20,23 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..errors import SilentCorruptionDetected, SimulationError
-from ..lang.ast import Channel
+from ..errors import SilentCorruptionDetected
 from ..obs import get_telemetry
 from ..obs.metrics import (
-    IUMetrics,
+    CellMetrics,
     MachineMetrics,
     MachineRecorder,
     QueueMetrics,
-    cell_metrics_from_counts,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - avoid circular import at run time
     from ..compiler.driver import CompiledProgram
     from ..faults.injector import FaultInjector
     from ..faults.plan import InjectionPlan
-from .cell import CellExecutor, CellStats, TraceEvent
+from .cell import CellExecutor
 from .host import HostMemory, collect_outputs, feed_input_queues
-from .plan import ExecutionPlan
-from .queue import TimedQueue
+from .plan import CHANNELS, ExecutionPlan
+from .queue import CLEAN_LINKS, LinkFactory, TimedQueue
 
 
 @dataclass
@@ -46,17 +44,14 @@ class SimulationResult:
     """Outputs and statistics of one run."""
 
     outputs: dict[str, np.ndarray]
-    cell_stats: list[CellStats]
     total_cycles: int
     skew: int
-    #: Peak occupancy per inter-cell queue, name -> words.
-    queue_occupancy: dict[str, int]
-    trace: list[TraceEvent] = field(default_factory=list)
-    #: Cycle-level metrics: per-cell busy/stall/idle breakdown, per-queue
-    #: high-water marks and residency, IU address-path statistics.
-    machine_metrics: MachineMetrics | None = None
-    #: Per-block execution spans (only when ``simulate(..., record=True)``;
-    #: feeds the Chrome-trace exporter).
+    #: Cycle-level metrics: per-cell counts and busy/stall/idle
+    #: breakdown, per-queue high-water marks and residency, IU
+    #: address-path statistics.
+    machine_metrics: MachineMetrics
+    #: The run's recorder, if ``simulate(..., record=...)`` was given
+    #: one: per-cell I/O events and per-block execution spans.
     record: MachineRecorder | None = None
     #: Descriptions of every fault injected into this run (empty for
     #: clean runs; filled from the active
@@ -64,8 +59,9 @@ class SimulationResult:
     fault_report: list[str] = field(default_factory=list)
 
     @property
-    def throughput_denominator(self) -> int:
-        return self.total_cycles
+    def cell_stats(self) -> list[CellMetrics]:
+        """Per-cell records, one per cell (``machine_metrics.cells``)."""
+        return self.machine_metrics.cells
 
     def output(self, name: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
         data = self.outputs[name]
@@ -99,75 +95,38 @@ class WarpMachine:
     def run(
         self,
         inputs: dict[str, np.ndarray],
-        trace_limit: int = 0,
-        record: bool = False,
+        record: MachineRecorder | None = None,
         faults: "InjectionPlan | FaultInjector | None" = None,
     ) -> SimulationResult:
         program = self._program
         plan = self.plan
         n_cells = program.n_cells
         skew = program.skew.skew
-        injector = _injector_of(faults)
+        seam = _seam_of(faults)
         memory = HostMemory.from_inputs(program.ir.host_arrays, inputs)
 
         # Inter-cell data queues; index i connects cell i-1 -> cell i
         # (index 0 is the host boundary, index n_cells the collector).
-        # Clean runs build plain TimedQueues; an active injector swaps
-        # in integrity-checked FaultyQueues (and may shrink capacities).
-        links: list[dict[Channel, TimedQueue]] = []
-        for i in range(n_cells + 1):
-            link: dict[Channel, TimedQueue] = {}
-            for channel in (Channel.X, Channel.Y):
-                capacity = None if i == 0 else self._config.queue_depth
-                if injector is not None:
-                    capacity = injector.link_capacity(
-                        i, channel.value, capacity
-                    )
-                    from ..faults.injector import FaultyQueue
-
-                    link[channel] = FaultyQueue(
-                        injector=injector if i >= 1 else None,
-                        name=f"link{i}.{channel.value}",
-                        capacity=capacity,
-                    )
-                else:
-                    link[channel] = TimedQueue(
-                        name=f"link{i}.{channel.value}", capacity=capacity
-                    )
-            links.append(link)
-        feed_input_queues(
-            program.host_program, memory, links[0], sequences=plan.input_refs
-        )
+        links = [
+            {
+                channel: seam.link(
+                    i, channel, None if i == 0 else self._config.queue_depth
+                )
+                for channel in CHANNELS
+            }
+            for i in range(n_cells + 1)
+        ]
+        feed_input_queues(memory, links[0], plan.input_refs)
 
         # Address path: the same IU stream per cell, delayed by the hop
         # latency; emitted FIFO order is preserved.
-        emissions = plan.emissions
         hop = self._config.address_hop_latency
-
-        trace: list[TraceEvent] = []
-        traced_per_cell: dict[int, int] = {}
-
-        def tracer(event: TraceEvent) -> None:
-            # Cells execute sequentially, so cap the budget per cell to
-            # keep early events of *every* cell (Figure 4-2 needs the
-            # first events of cells 0 and 1 side by side).
-            count = traced_per_cell.get(event.cell, 0)
-            if count < trace_limit:
-                traced_per_cell[event.cell] = count + 1
-                trace.append(event)
-
-        stats: list[CellStats] = []
-        occupancy: dict[str, int] = {}
-        recorder = MachineRecorder() if record else None
-        address_queues: list[TimedQueue] = []
+        cells: list[CellMetrics] = []
+        address_metrics: dict[str, QueueMetrics] = {}
         cell_cycles = program.cell_code.total_cycles
         watchdog_slack = getattr(self._config, "watchdog_slack", 64)
-        end_time = 0
         for cell_index in range(n_cells):
             nominal_start = cell_index * skew
-            start = nominal_start
-            if injector is not None:
-                start += injector.stall_cycles(cell_index)
             # Pre-materialised from the plan: the same IU stream for
             # every cell, shifted by the hop delay (emission times are
             # already non-decreasing, so no per-item enqueue checks).
@@ -182,21 +141,22 @@ class WarpMachine:
                 code=program.cell_code,
                 config=self._config.cell,
                 cell_index=cell_index,
-                start_time=start,
+                start_time=nominal_start + seam.start_delay(cell_index),
                 in_queues=links[cell_index],
                 out_queues=links[cell_index + 1],
                 address_queue=address_queue,
-                trace=tracer if trace_limit else None,
-                recorder=recorder,
                 block_plans=plan.blocks,
+                recorder=record,
                 deadline=nominal_start + cell_cycles + watchdog_slack,
             )
-            cell_stats = executor.run()
-            stats.append(cell_stats)
-            end_time = max(end_time, cell_stats.end_time)
-            occupancy[address_queue.name] = address_queue.audit_capacity()
-            address_queues.append(address_queue)
+            cells.append(executor.run())
+            address_metrics[address_queue.name] = address_queue.audit()
 
+        # Queues covered by the metrics: the host boundary (link0),
+        # every audited inter-cell link, and the per-cell address
+        # queues.  The collector link is omitted — the host drains it
+        # outside cell time, so its occupancy is not a machine property.
+        queues = {queue.name: queue.metrics() for queue in links[0].values()}
         # Stream accounting: schedules are data-independent, so every
         # inter-cell link must carry *exactly* the static per-run send
         # count — a dropped or duplicated send diverges here even when
@@ -205,7 +165,7 @@ class WarpMachine:
         # against the host program's binding count.
         for i in range(1, n_cells):
             for channel, queue in links[i].items():
-                occupancy[queue.name] = queue.audit_capacity()
+                queues[queue.name] = queue.audit()
                 expected = plan.sends_per_run[channel]
                 if queue.items_sent != expected:
                     get_telemetry().counter("fault.detected")
@@ -214,135 +174,67 @@ class WarpMachine:
                         f"{i - 1} sent {queue.items_sent} words but the "
                         f"static schedule sends exactly {expected} per run"
                     )
-        if injector is not None:
-            # Words the program never dequeued still get their parity
-            # swept (the collector reads link n_cells values directly).
-            from ..faults.injector import FaultyQueue
+        queues.update(address_metrics)
+        seam.after_run(links)
+        collect_outputs(memory, links[n_cells], plan.output_bindings)
 
-            for link in links[1:]:
-                for queue in link.values():
-                    if isinstance(queue, FaultyQueue):
-                        queue.verify_integrity()
-
-        collect_outputs(
-            program.host_program,
-            memory,
-            links[n_cells],
-            bindings=plan.output_bindings,
-        )
-
-        outputs = {
-            name: memory.arrays[name].copy()
-            for name in program.ir.host_arrays
-        }
-        metrics = self._build_metrics(
-            stats, links, address_queues, occupancy, emissions, end_time, skew
-        )
+        end_time = max((cell.end_cycle for cell in cells), default=0)
+        for cell in cells:
+            cell.idle_cycles = max(end_time - cell.active_cycles, 0)
+            cell.receive_wait_cycles = sum(
+                queues[queue.name].total_wait_cycles
+                for queue in links[cell.cell].values()
+            )
         return SimulationResult(
-            outputs=outputs,
-            cell_stats=stats,
+            outputs={
+                name: memory.arrays[name].copy()
+                for name in program.ir.host_arrays
+            },
             total_cycles=end_time,
             skew=skew,
-            queue_occupancy=occupancy,
-            trace=trace,
-            machine_metrics=metrics,
-            record=recorder,
-            fault_report=injector.report() if injector is not None else [],
-        )
-
-    def _build_metrics(
-        self,
-        stats: list[CellStats],
-        links: list[dict[Channel, TimedQueue]],
-        address_queues: list[TimedQueue],
-        occupancy: dict[str, int],
-        emissions: list[tuple[int, int, int]],
-        end_time: int,
-        skew: int,
-    ) -> MachineMetrics:
-        """Assemble the cycle-level metrics of one finished run.
-
-        Queues covered: the host boundary (``link0``), every audited
-        inter-cell link, and the per-cell address queues.  The collector
-        link is omitted — the host drains it outside cell time, so its
-        occupancy is not a machine property.
-        """
-        n_cells = len(stats)
-        queues: dict[str, QueueMetrics] = {}
-        for i in range(n_cells):
-            for queue in links[i].values():
-                queues[queue.name] = queue.to_metrics(
-                    high_water=occupancy.get(queue.name)
-                )
-        for queue in address_queues:
-            queues[queue.name] = queue.to_metrics(
-                high_water=occupancy.get(queue.name)
-            )
-        cells = []
-        for cell_stats in stats:
-            wait = sum(
-                queue.total_wait_cycles()
-                for queue in links[cell_stats.cell].values()
-            )
-            cells.append(
-                cell_metrics_from_counts(
-                    cell=cell_stats.cell,
-                    start_cycle=cell_stats.start_time,
-                    end_cycle=cell_stats.end_time,
-                    total_cycles=end_time,
-                    issue_cycles=cell_stats.issue_cycles,
-                    alu_ops=cell_stats.alu_ops,
-                    mpy_ops=cell_stats.mpy_ops,
-                    mem_reads=cell_stats.mem_reads,
-                    mem_writes=cell_stats.mem_writes,
-                    receives=cell_stats.receives,
-                    sends=cell_stats.sends,
-                    receive_wait_cycles=wait,
-                )
-            )
-        emit_times = [t for t, _deadline, _addr in emissions]
-        iu = IUMetrics(
-            addresses_emitted=len(emit_times),
-            first_emit_cycle=min(emit_times) if emit_times else 0,
-            last_emit_cycle=max(emit_times) if emit_times else 0,
-        )
-        return MachineMetrics(
-            total_cycles=end_time,
-            skew=skew,
-            cells=cells,
-            queues=queues,
-            iu=iu,
+            machine_metrics=MachineMetrics(
+                total_cycles=end_time,
+                skew=skew,
+                cells=cells,
+                queues=queues,
+                iu=plan.iu,
+            ),
+            record=record,
+            fault_report=seam.report(),
         )
 
 
-def _injector_of(faults) -> "FaultInjector | None":
-    """Normalise ``faults=`` (plan, injector or None) lazily, keeping
-    the clean path free of any faults-package import."""
+def _seam_of(faults) -> LinkFactory:
+    """Normalise ``faults=`` (plan, injector or None) to the run's fault
+    seam."""
     if faults is None:
-        return None
+        return CLEAN_LINKS
     from ..faults.injector import FaultInjector
 
-    return FaultInjector.of(faults)
+    if isinstance(faults, FaultInjector):
+        return faults
+    return FaultInjector(faults)
 
 
 def simulate(
     program: "CompiledProgram",
     inputs: dict[str, np.ndarray],
-    trace_limit: int = 0,
-    record: bool = False,
+    record: MachineRecorder | None = None,
     faults: "InjectionPlan | FaultInjector | None" = None,
 ) -> SimulationResult:
     """Run a compiled program on the simulated Warp machine.
 
-    ``record=True`` additionally collects per-block execution spans on
-    every cell (``result.record``), which the Chrome-trace exporter
-    turns into per-cell lanes.
+    ``record`` is an optional :class:`~repro.obs.metrics.MachineRecorder`
+    that collects the run's events (``result.record``): the per-block
+    execution spans of every cell, which the Chrome-trace exporter
+    turns into per-cell lanes, and, with ``io_limit=N``, the first
+    ``N`` sends and receives of every cell, which
+    :func:`~repro.machine.trace.format_two_cell_trace` renders as
+    Figure 4-2.
 
     ``faults`` injects a deterministic :class:`~repro.faults.InjectionPlan`
     into the run (see ``docs/robustness.md``); every injected fault is
     either absorbed bit-identically or surfaces as a structured
     :class:`~repro.errors.SimulationError` — never a silent wrong
     answer."""
-    return WarpMachine(program).run(
-        inputs, trace_limit=trace_limit, record=record, faults=faults
-    )
+    return WarpMachine(program).run(inputs, record=record, faults=faults)

@@ -13,61 +13,16 @@ interpreter.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Callable
 
 from ..cellcodegen.emit import CellCode, ScheduledBlock, ScheduledLoop
 from ..cellcodegen.isa import AddressSource, Lit, Operand, Reg
 from ..errors import CellHangError
-from ..ir.dag import QueueRef
-from ..lang.ast import Channel, Direction
+from ..lang.ast import Channel
 from ..config import CellConfig
 from ..obs import get_telemetry
-from ..obs.metrics import MachineRecorder
-from .plan import BlockPlan, DecodedInstr
+from ..obs.metrics import CellMetrics, MachineRecorder
+from .plan import CHANNELS, BlockPlan, DecodedInstr
 from .queue import TimedQueue
-
-
-@dataclass(frozen=True)
-class TraceEvent:
-    """One observable I/O action, for execution traces (Figure 4-2)."""
-
-    cell: int
-    time: int
-    kind: str  # 'send' | 'receive'
-    queue: str
-    value: float
-
-
-@dataclass
-class CellStats:
-    cell: int
-    start_time: int
-    end_time: int = 0
-    alu_ops: int = 0
-    mpy_ops: int = 0
-    mem_reads: int = 0
-    mem_writes: int = 0
-    receives: int = 0
-    sends: int = 0
-    #: Cycles that issued at least one operation (non-nop instruction).
-    issue_cycles: int = 0
-
-    @property
-    def busy_cycles(self) -> int:
-        return self.end_time - self.start_time
-
-    @property
-    def stall_cycles(self) -> int:
-        """Schedule bubbles (latency/drain nops) inside the execution
-        window."""
-        return max(self.busy_cycles - self.issue_cycles, 0)
-
-    @property
-    def flop_utilization(self) -> float:
-        """Floating-point issues per FPU issue slot (2 per cycle)."""
-        cycles = max(self.busy_cycles, 1)
-        return (self.alu_ops + self.mpy_ops) / (2 * cycles)
 
 
 class CellExecutor:
@@ -82,37 +37,36 @@ class CellExecutor:
         in_queues: dict[Channel, TimedQueue],
         out_queues: dict[Channel, TimedQueue],
         address_queue: TimedQueue,
-        trace: Callable[[TraceEvent], None] | None = None,
+        block_plans: dict[int, BlockPlan],
         recorder: MachineRecorder | None = None,
-        block_plans: dict[int, BlockPlan] | None = None,
         deadline: int | None = None,
     ):
         self._code = code
         self._config = config
         self._cell = cell_index
         self._start = start_time
-        self._in = in_queues
-        self._out = out_queues
+        #: Link sides indexed by the channel index decoded into each
+        #: queue operation (see :data:`~repro.machine.plan.CHANNELS`).
+        self._in = tuple(in_queues[channel] for channel in CHANNELS)
+        self._out = tuple(out_queues[channel] for channel in CHANNELS)
         self._addr = address_queue
-        self._trace = trace
         self._recorder = recorder
+        #: Per-I/O trace hook, or None when no I/O events are recorded.
+        self._io = None
+        if recorder is not None and recorder.io_limit:
+            self._io = recorder.io
         #: Watchdog: absolute cycle by which the cell must have
         #: finished.  Healthy cells finish exactly on their statically
         #: predicted cycle, so the deadline (predicted end + slack) can
         #: only be crossed by a stalled or hung cell.
         self._deadline = deadline
-        #: Skip-idle plans per block: shared across cells/runs when the
-        #: caller supplies them, otherwise built lazily for this cell.
-        self._block_plans = block_plans if block_plans is not None else {}
+        #: Skip-idle plans per block, shared across cells and runs.
+        self._block_plans = block_plans
         self._registers = [0.0] * config.n_registers
         self._pending: list[tuple[int, int, int, float]] = []  # (time, seq, reg, value)
         self._seq = 0
         self._memory = [0.0] * config.memory_words
-        self.stats = CellStats(cell=cell_index, start_time=start_time)
-        #: Queue resolution memo keyed by the (shared, immutable)
-        #: QueueRef object identity — direction asserts run once per
-        #: static reference instead of once per dynamic I/O.
-        self._queue_memo: dict[int, TimedQueue] = {}
+        self.metrics = CellMetrics(cell=cell_index, start_cycle=start_time)
 
     # Register file with delayed writeback --------------------------------
 
@@ -132,13 +86,13 @@ class CellExecutor:
 
     # Execution ---------------------------------------------------------------
 
-    def run(self) -> CellStats:
+    def run(self) -> CellMetrics:
         end = self._run_items(self._code.items, self._start)
         # Flush outstanding writebacks (architecturally they land during
         # the drain cycles already counted in the block lengths).
         self._apply_writebacks(end)
-        self.stats.end_time = end
-        return self.stats
+        self.metrics.end_cycle = end
+        return self.metrics
 
     def _run_items(self, items, time: int) -> int:
         for item in items:
@@ -161,11 +115,8 @@ class CellExecutor:
         )
 
     def _run_block(self, block: ScheduledBlock, time: int) -> int:
-        plan = self._block_plans.get(block.block_id)
-        if plan is None:
-            plan = BlockPlan.of(block)
-            self._block_plans[block.block_id] = plan
-        self.stats.issue_cycles += plan.issued
+        plan = self._block_plans[block.block_id]
+        self.metrics.busy_cycles += plan.issued
         if self._recorder is not None:
             self._recorder.block(
                 self._cell, block.block_id, time, block.length, plan.issued
@@ -180,28 +131,21 @@ class CellExecutor:
     def _execute(self, decoded: DecodedInstr, now: int) -> None:
         # Hot path: one call per *issuing* cycle per cell per run.  The
         # instruction arrives pre-decoded (load/store split, pure-op
-        # evaluators resolved); locals and the identity-keyed queue memo
-        # keep the per-issue constant factor low.  Behaviour is
-        # identical to the attribute-walking form this replaces.
+        # evaluators resolved, queues resolved to link-side indices);
+        # locals keep the per-issue constant factor low.
         pending = self._pending
         if pending and pending[0][0] <= now:
             self._apply_writebacks(now)
         config = self._config
-        stats = self.stats
-        queue_memo = self._queue_memo
+        metrics = self.metrics
         read = self._read
-        for deq in decoded.deqs:
-            queue = queue_memo.get(id(deq.queue))
-            if queue is None:
-                queue = self._queue_for(deq.queue, incoming=True)
-                queue_memo[id(deq.queue)] = queue
-            value = queue.dequeue(now)
-            self._write_later(now + config.queue_latency, deq.dest, value)
-            stats.receives += 1
-            if self._trace:
-                self._trace(
-                    TraceEvent(self._cell, now, "receive", str(deq.queue), value)
-                )
+        io = self._io
+        for channel, dest, name in decoded.deqs:
+            value = self._in[channel].dequeue(now)
+            self._write_later(now + config.queue_latency, dest, value)
+            metrics.receives += 1
+            if io is not None:
+                io(self._cell, now, "receive", name, value)
         # IU-supplied addresses are consumed in instruction-slot order
         # (the order the IU emitted them), which is not necessarily
         # loads-before-stores — resolve them all up front.
@@ -217,54 +161,37 @@ class CellExecutor:
             value = self._memory[address]
             assert mem.reg is not None
             self._write_later(now + config.mem_read_latency, mem.reg, value)
-            stats.mem_reads += 1
+            metrics.mem_reads += 1
         for mem in decoded.stores:
             address = self._address(mem, addresses)
             assert mem.store_value is not None
             self._memory[address] = read(mem.store_value)
-            stats.mem_writes += 1
+            metrics.mem_writes += 1
         if decoded.alu is not None:
             fn, sources, dest = decoded.alu
             result = fn(*[read(s) for s in sources])
             self._write_later(now + config.alu_latency, dest, result)
-            stats.alu_ops += 1
+            metrics.alu_ops += 1
         if decoded.mpy is not None:
             fn, sources, dest, is_div = decoded.mpy
             result = fn(*[read(s) for s in sources])
             latency = config.div_latency if is_div else config.mpy_latency
             self._write_later(now + latency, dest, result)
-            stats.mpy_ops += 1
+            metrics.mpy_ops += 1
         move = decoded.move
         if move is not None:
             self._write_later(
                 now + config.move_latency, move.dest, read(move.source)
             )
-        for enq in decoded.enqs:
-            queue = queue_memo.get(id(enq.queue))
-            if queue is None:
-                queue = self._queue_for(enq.queue, incoming=False)
-                queue_memo[id(enq.queue)] = queue
-            value = read(enq.source)
-            queue.enqueue(now, value)
-            stats.sends += 1
-            if self._trace:
-                self._trace(
-                    TraceEvent(self._cell, now, "send", str(enq.queue), value)
-                )
+        for channel, source, name in decoded.enqs:
+            value = read(source)
+            self._out[channel].enqueue(now, value)
+            metrics.sends += 1
+            if io is not None:
+                io(self._cell, now, "send", name, value)
 
     def _address(self, mem, addresses: dict[int, int] | None) -> int:
         if mem.address_source is AddressSource.LITERAL:
             return mem.address
         assert addresses is not None
         return addresses[id(mem)]
-
-    def _queue_for(self, ref: QueueRef, incoming: bool) -> TimedQueue:
-        if incoming:
-            assert ref.direction is Direction.LEFT, (
-                "compilable programs only receive from the left"
-            )
-            return self._in[ref.channel]
-        assert ref.direction is Direction.RIGHT, (
-            "compilable programs only send to the right"
-        )
-        return self._out[ref.channel]

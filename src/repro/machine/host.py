@@ -15,13 +15,16 @@ host memory according to the output bindings."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..errors import HostDataError
-from ..hostcodegen import HostProgram
 from ..lang.ast import Channel
 from .queue import TimedQueue
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..hostcodegen.io_program import HostBinding, HostValueRef
 
 
 @dataclass
@@ -55,25 +58,19 @@ class HostMemory:
 
 
 def feed_input_queues(
-    host_program: HostProgram,
     memory: HostMemory,
     queues: dict[Channel, TimedQueue],
-    sequences: dict[Channel, list] | None = None,
+    sequences: dict[Channel, list["HostValueRef"]],
 ) -> None:
     """Load cell 0's input queues: item ``k`` arrives at cycle ``k``
     (one word per cycle per channel).
 
-    ``sequences`` optionally supplies the per-channel input references
-    precomputed by an :class:`~repro.machine.plan.ExecutionPlan`, so
-    batched runs do not re-derive them from the host program.
+    ``sequences`` are the per-channel input references of the host
+    program, as precomputed by an
+    :class:`~repro.machine.plan.ExecutionPlan` (``input_refs``).
     """
     for channel, queue in queues.items():
-        refs = (
-            sequences[channel]
-            if sequences is not None
-            else host_program.input_sequence(channel)
-        )
-        for k, ref in enumerate(refs):
+        for k, ref in enumerate(sequences[channel]):
             if ref.is_literal:
                 value = float(ref.literal)  # type: ignore[arg-type]
             else:
@@ -89,21 +86,17 @@ def feed_input_queues(
 
 
 def collect_outputs(
-    host_program: HostProgram,
     memory: HostMemory,
     queues: dict[Channel, TimedQueue],
-    bindings: dict[Channel, list] | None = None,
+    bindings: dict[Channel, list["HostBinding"]],
 ) -> None:
     """Scatter the last cell's output streams into host memory.
 
-    ``bindings`` optionally supplies precomputed per-channel output
-    bindings (see :func:`feed_input_queues`)."""
+    ``bindings`` are the per-channel output bindings of the host
+    program (an :class:`~repro.machine.plan.ExecutionPlan`'s
+    ``output_bindings``)."""
     for channel, queue in queues.items():
-        channel_bindings = (
-            bindings[channel]
-            if bindings is not None
-            else list(host_program.output_bindings(channel))
-        )
+        channel_bindings = bindings[channel]
         if len(channel_bindings) != queue.items_sent:
             raise HostDataError(
                 f"channel {channel}: the last cell sent {queue.items_sent} "

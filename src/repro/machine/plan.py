@@ -12,8 +12,9 @@ of a batch:
   next instead of ticking through provably idle ranges — the cycle
   arithmetic is unchanged because each active instruction carries its
   offset and the block's total length still advances the clock.
-* **The IU address schedule** (``emissions``), identical for every cell
-  up to the per-hop delay, rather than re-walked per run.
+* **The IU address schedule** (``emission_times`` / ``emission_values``
+  and its :class:`~repro.obs.metrics.IUMetrics`), identical for every
+  cell up to the per-hop delay, rather than re-walked per run.
 * **The host I/O sequences** (input references and output bindings per
   channel), rather than re-derived from the host program per run.
 """
@@ -35,12 +36,37 @@ from ..cellcodegen.isa import (
     Operand,
     Reg,
 )
+from ..errors import SimulationError
 from ..ir.dag import OpKind
-from ..lang.ast import Channel
+from ..lang.ast import Channel, Direction
+from ..obs.metrics import IUMetrics
 
 if TYPE_CHECKING:  # pragma: no cover - circular import at run time
     from ..compiler.driver import CompiledProgram
     from ..hostcodegen.io_program import HostBinding, HostValueRef
+
+#: Channel order of a cell's link sides: decoded queue operations
+#: index a ``(x, y)`` tuple of queues.
+CHANNELS = (Channel.X, Channel.Y)
+
+
+def _channel_index(
+    op: DeqOp | EnqOp, direction: Direction, cycle: int
+) -> int:
+    """Resolve ``op`` to a channel index on its link side.
+
+    Compilable programs only receive from the left and send to the
+    right, so a dequeue reads the cell's input link and an enqueue
+    writes its output link; anything else is rejected here, when the
+    plan is built, rather than mis-routed at run time.
+    """
+    if op.queue.direction is not direction:
+        side = op.queue.direction.name.lower()
+        raise SimulationError(
+            f"cycle {cycle}: '{op}' uses the {side} queue, but a cell only "
+            "receives from the left and sends to the right"
+        )
+    return CHANNELS.index(op.queue.channel)
 
 
 @dataclass(slots=True)
@@ -50,12 +76,16 @@ class DecodedInstr:
     Decoding resolves everything that is the same on every dynamic
     issue — the load/store split, the pure-op evaluation functions, the
     operand tuples — so the executor's hot loop does no dispatch, only
-    state updates.  ``instr`` stays attached for tracing and listings.
+    state updates.  Queue operations are resolved to a channel index on
+    their link side (dequeues read the input link, enqueues write the
+    output link) plus the queue's name for traces.  ``instr`` stays
+    attached for listings.
     """
 
     cycle: int
     instr: MicroInstr
-    deqs: tuple[DeqOp, ...]
+    #: ``(channel_index, dest, queue_name)`` per dequeue.
+    deqs: tuple[tuple[int, Reg, str], ...]
     loads: tuple[MemOp, ...]
     stores: tuple[MemOp, ...]
     #: Queue-addressed memory ops in *slot order* — the order the IU
@@ -69,7 +99,8 @@ class DecodedInstr:
     #: ``(evaluator, sources, dest, is_divide)`` or ``None``.
     mpy: tuple[Callable[..., float], tuple[Operand, ...], Reg, bool] | None
     move: MoveOp | None
-    enqs: tuple[EnqOp, ...]
+    #: ``(channel_index, source, queue_name)`` per enqueue.
+    enqs: tuple[tuple[int, Operand, str], ...]
 
     @classmethod
     def of(cls, cycle: int, instr: MicroInstr) -> "DecodedInstr":
@@ -90,7 +121,14 @@ class DecodedInstr:
         return cls(
             cycle=cycle,
             instr=instr,
-            deqs=tuple(instr.deqs),
+            deqs=tuple(
+                (
+                    _channel_index(deq, Direction.LEFT, cycle),
+                    deq.dest,
+                    str(deq.queue),
+                )
+                for deq in instr.deqs
+            ),
             loads=tuple(m for m in instr.mem if m.is_load),
             stores=tuple(m for m in instr.mem if not m.is_load),
             addressed=tuple(
@@ -101,7 +139,14 @@ class DecodedInstr:
             alu=alu,
             mpy=mpy,
             move=instr.move,
-            enqs=tuple(instr.enqs),
+            enqs=tuple(
+                (
+                    _channel_index(enq, Direction.RIGHT, cycle),
+                    enq.source,
+                    str(enq.queue),
+                )
+                for enq in instr.enqs
+            ),
         )
 
 
@@ -130,8 +175,8 @@ def block_plans(code: CellCode) -> dict[int, BlockPlan]:
     return {block.block_id: BlockPlan.of(block) for block in code.blocks()}
 
 
-def static_io_counts(items) -> tuple[dict[Channel, int], dict[Channel, int]]:
-    """Exact per-channel (sends, receives) of one cell's full run.
+def static_send_counts(items) -> dict[Channel, int]:
+    """Exact per-channel sends of one cell's full run.
 
     Schedules are data-independent, so these counts are a static
     property of the code tree: every cell enqueues exactly
@@ -140,21 +185,16 @@ def static_io_counts(items) -> tuple[dict[Channel, int], dict[Channel, int]]:
     inter-cell link against them — a dropped or duplicated send shows up
     as a count divergence even when it would not underflow anything.
     """
-    sends = {Channel.X: 0, Channel.Y: 0}
-    receives = {Channel.X: 0, Channel.Y: 0}
+    sends = dict.fromkeys(CHANNELS, 0)
     for item in items:
         if isinstance(item, ScheduledBlock):
             for instr in item.instructions:
                 for enq in instr.enqs:
                     sends[enq.queue.channel] += 1
-                for deq in instr.deqs:
-                    receives[deq.queue.channel] += 1
         else:
-            inner_sends, inner_receives = static_io_counts(item.body)
-            for channel in (Channel.X, Channel.Y):
-                sends[channel] += inner_sends[channel] * item.trip
-                receives[channel] += inner_receives[channel] * item.trip
-    return sends, receives
+            for channel, count in static_send_counts(item.body).items():
+                sends[channel] += count * item.trip
+    return sends
 
 
 class ExecutionPlan:
@@ -162,31 +202,31 @@ class ExecutionPlan:
 
     def __init__(self, program: "CompiledProgram"):
         self.blocks: dict[int, BlockPlan] = block_plans(program.cell_code)
-        #: ``(emit_time, deadline, address)`` per dynamic IU emission.
-        self.emissions: list[tuple[int, int, int]] = list(
-            program.iu_program.emission_times()
-        )
-        #: The emission schedule split into parallel time/value lists so
-        #: a cell's address queue is a couple of list copies, not a
+        emissions = list(program.iu_program.emission_times())
+        #: The IU emission schedule as parallel time/value lists, so a
+        #: cell's address queue is a couple of list copies, not a
         #: per-item enqueue loop.
-        self.emission_times: list[int] = [t for t, _d, _a in self.emissions]
+        self.emission_times: list[int] = [t for t, _d, _a in emissions]
         self.emission_values: list[float] = [
-            float(a) for _t, _d, a in self.emissions
+            float(a) for _t, _d, a in emissions
         ]
+        self.iu = IUMetrics(
+            addresses_emitted=len(emissions),
+            first_emit_cycle=min(self.emission_times, default=0),
+            last_emit_cycle=max(self.emission_times, default=0),
+        )
         self.input_refs: dict[Channel, list["HostValueRef"]] = {
             channel: list(program.host_program.input_sequence(channel))
-            for channel in (Channel.X, Channel.Y)
+            for channel in CHANNELS
         }
         self.output_bindings: dict[Channel, list["HostBinding"]] = {
             channel: list(program.host_program.output_bindings(channel))
-            for channel in (Channel.X, Channel.Y)
+            for channel in CHANNELS
         }
-        #: Static per-channel I/O counts of one cell run, used by the
+        #: Static per-channel send count of one cell run, used by the
         #: stream-accounting guard (every inter-cell link must carry
         #: exactly ``sends_per_run[channel]`` words).
-        self.sends_per_run, self.receives_per_run = static_io_counts(
-            program.cell_code.items
-        )
+        self.sends_per_run = static_send_counts(program.cell_code.items)
 
     @property
     def skipped_slots(self) -> int:

@@ -18,8 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import QueueCapacityError, QueueUnderflowError
+from ..lang.ast import Channel
 from ..obs import get_telemetry
-from ..obs.metrics import QueueMetrics, queue_metrics_from_times
+from ..obs.metrics import QueueMetrics
 from ..timing.buffers import occupancy_requirement
 
 
@@ -63,39 +64,67 @@ class TimedQueue:
     def items_sent(self) -> int:
         return len(self.values)
 
-    @property
-    def items_received(self) -> int:
-        return self._cursor
-
-    def max_occupancy(self) -> int:
-        """Peak occupancy over the whole run (post-hoc audit)."""
-        return occupancy_requirement(
-            np.asarray(self.send_times, dtype=np.int64),
-            np.asarray(self.recv_times, dtype=np.int64),
-            skew=0,  # times here are already absolute
-        )
-
-    def audit_capacity(self) -> int:
-        occupancy = self.max_occupancy()
-        if self.capacity is not None and occupancy > self.capacity:
-            get_telemetry().counter("fault.detected")
-            raise QueueCapacityError(
-                f"{self.name}: peak occupancy {occupancy} exceeds the "
-                f"{self.capacity}-word queue"
-            )
-        return occupancy
-
-    def total_wait_cycles(self) -> int:
-        """Cycles consumed items spent in the queue (receive - send)."""
-        consumed = len(self.recv_times)
-        return sum(self.recv_times) - sum(self.send_times[:consumed])
-
-    def to_metrics(self, high_water: int | None = None) -> QueueMetrics:
-        """Snapshot this queue's occupancy/residency statistics."""
-        return queue_metrics_from_times(
+    def metrics(self) -> QueueMetrics:
+        """This queue's occupancy and residency, derived once after both
+        endpoints have run."""
+        sends = np.asarray(self.send_times, dtype=np.int64)
+        recvs = np.asarray(self.recv_times, dtype=np.int64)
+        return QueueMetrics(
             name=self.name,
             capacity=self.capacity,
-            high_water=self.max_occupancy() if high_water is None else high_water,
-            send_times=self.send_times,
-            recv_times=self.recv_times,
+            items_sent=int(sends.size),
+            items_received=int(recvs.size),
+            high_water=occupancy_requirement(
+                sends, recvs, skew=0  # times here are already absolute
+            ),
+            total_wait_cycles=int((recvs - sends[: recvs.size]).sum()),
+            send_times=sends,
+            recv_times=recvs,
         )
+
+    def audit(self) -> QueueMetrics:
+        """:meth:`metrics`, with the peak occupancy checked against the
+        queue's capacity."""
+        metrics = self.metrics()
+        if self.capacity is not None and metrics.high_water > self.capacity:
+            get_telemetry().counter("fault.detected")
+            raise QueueCapacityError(
+                f"{self.name}: peak occupancy {metrics.high_water} exceeds "
+                f"the {self.capacity}-word queue"
+            )
+        return metrics
+
+
+class LinkFactory:
+    """The machine's one fault seam: it builds the inter-cell links and
+    observes the run.
+
+    This clean default builds plain :class:`TimedQueue` links, delays no
+    cell and does nothing after the run.
+    :class:`~repro.faults.FaultInjector` overrides every hook with its
+    injecting version, so the machine's run loop has no fault branches.
+    """
+
+    def link(
+        self, index: int, channel: Channel, capacity: int | None
+    ) -> TimedQueue:
+        """The queue of link ``index`` (cell ``index - 1`` -> cell
+        ``index``; link 0 is the host boundary)."""
+        return TimedQueue(
+            name=f"link{index}.{channel.value}", capacity=capacity
+        )
+
+    def start_delay(self, cell: int) -> int:
+        """Cycles added to ``cell``'s skewed start."""
+        return 0
+
+    def after_run(self, links: list[dict[Channel, TimedQueue]]) -> None:
+        """Called once every cell has run, before outputs are collected."""
+
+    def report(self) -> list[str]:
+        """Descriptions of every fault injected into the run."""
+        return []
+
+
+#: The shared clean seam (it holds no state).
+CLEAN_LINKS = LinkFactory()

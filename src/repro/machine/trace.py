@@ -7,7 +7,7 @@ same picture from a simulation trace, for any pair of cells."""
 
 from __future__ import annotations
 
-from .cell import TraceEvent
+from ..obs.metrics import TraceEvent
 
 
 def format_two_cell_trace(

@@ -34,8 +34,7 @@ from .metrics import (
     MachineMetrics,
     MachineRecorder,
     QueueMetrics,
-    cell_metrics_from_counts,
-    queue_metrics_from_times,
+    TraceEvent,
 )
 from .report import (
     format_cache_status,
@@ -58,7 +57,7 @@ __all__ = [
     "QueueMetrics",
     "Span",
     "Telemetry",
-    "cell_metrics_from_counts",
+    "TraceEvent",
     "collecting",
     "compile_trace_events",
     "disable",
@@ -71,7 +70,6 @@ __all__ = [
     "get_telemetry",
     "machine_trace_events",
     "metrics_to_json",
-    "queue_metrics_from_times",
     "simulation_trace_events",
     "telemetry_to_json",
     "trace_document",

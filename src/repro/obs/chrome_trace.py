@@ -247,7 +247,6 @@ def simulation_trace_events(
     events: list[dict[str, Any]] = []
     if telemetry is not None and telemetry.spans:
         events.extend(compile_trace_events(telemetry))
-    assert result.machine_metrics is not None
     events.extend(machine_trace_events(result.machine_metrics, result.record))
     return events
 

@@ -16,36 +16,49 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass
 class CellMetrics:
-    """One cell's cycle breakdown over the whole array run.
+    """One cell's counts and cycle breakdown over the whole array run.
 
-    ``busy + stall + idle == array_cycles``: *busy* cycles issued at
-    least one operation, *stall* cycles are schedule bubbles (latency /
-    drain nops inside the cell's own execution window), *idle* covers
-    the skew lead-in before the cell starts plus the tail after it
-    finishes while the rest of the array drains.
+    The cell executor fills the counts while the cell runs; the machine
+    adds ``idle_cycles`` and ``receive_wait_cycles`` once every cell has
+    finished.  ``busy + stall + idle == array_cycles``: *busy* cycles
+    issued at least one operation, *stall* cycles are schedule bubbles
+    (latency / drain nops inside the cell's own execution window,
+    ``active_cycles``), *idle* covers the skew lead-in before the cell
+    starts plus the tail after it finishes while the rest of the array
+    drains.
     """
 
     cell: int
     start_cycle: int
-    end_cycle: int
-    busy_cycles: int
-    stall_cycles: int
-    idle_cycles: int
-    alu_ops: int
-    mpy_ops: int
-    mem_reads: int
-    mem_writes: int
-    receives: int
-    sends: int
+    end_cycle: int = 0
+    busy_cycles: int = 0
+    idle_cycles: int = 0
+    alu_ops: int = 0
+    mpy_ops: int = 0
+    mem_reads: int = 0
+    mem_writes: int = 0
+    receives: int = 0
+    sends: int = 0
     #: Cycles the values this cell consumed spent waiting in its input
     #: queues (sum over receives of receive cycle - send cycle).
     receive_wait_cycles: int = 0
 
     @property
+    def issue_cycles(self) -> int:
+        """Alias of ``busy_cycles``: cycles that issued a non-nop
+        instruction."""
+        return self.busy_cycles
+
+    @property
     def active_cycles(self) -> int:
+        """The cell's execution window, from its start to its end."""
         return self.end_cycle - self.start_cycle
+
+    @property
+    def stall_cycles(self) -> int:
+        return max(self.active_cycles - self.busy_cycles, 0)
 
     @property
     def utilization(self) -> float:
@@ -56,6 +69,12 @@ class CellMetrics:
     @property
     def fp_ops(self) -> int:
         return self.alu_ops + self.mpy_ops
+
+    @property
+    def flop_utilization(self) -> float:
+        """Floating-point issues per FPU issue slot (2 per cycle) over
+        the execution window."""
+        return self.fp_ops / (2 * max(self.active_cycles, 1))
 
 
 @dataclass(frozen=True)
@@ -144,13 +163,43 @@ class BlockSpan:
     issued_ops: int
 
 
-class MachineRecorder:
-    """Opt-in collector of per-block execution spans (Chrome traces)."""
+@dataclass(frozen=True)
+class TraceEvent:
+    """One observable I/O action, for execution traces (Figure 4-2)."""
 
-    def __init__(self, limit: int = 200_000):
+    cell: int
+    time: int
+    kind: str  # 'send' | 'receive'
+    queue: str
+    value: float
+
+
+class MachineRecorder:
+    """Opt-in collector of one run's events.
+
+    ``trace`` holds the per-cell I/O events (Figure 4-2 traces), at most
+    ``io_limit`` per cell; ``blocks`` holds the per-block execution
+    spans (Chrome traces), at most ``limit`` in total.
+    """
+
+    def __init__(self, io_limit: int = 0, limit: int = 200_000):
+        self.trace: list[TraceEvent] = []
+        self.io_limit = io_limit
+        self._io_per_cell: dict[int, int] = {}
         self.blocks: list[BlockSpan] = []
         self.limit = limit
         self.truncated = False
+
+    def io(
+        self, cell: int, time: int, kind: str, queue: str, value: float
+    ) -> None:
+        # Cells execute sequentially, so the budget is per cell to keep
+        # the early events of *every* cell (Figure 4-2 needs the first
+        # events of cells 0 and 1 side by side).
+        count = self._io_per_cell.get(cell, 0)
+        if count < self.io_limit:
+            self._io_per_cell[cell] = count + 1
+            self.trace.append(TraceEvent(cell, time, kind, queue, value))
 
     def block(
         self, cell: int, block_id: int, start: int, length: int, issued: int
@@ -186,64 +235,3 @@ class MachineMetrics:
     @property
     def queue_high_water(self) -> dict[str, int]:
         return {name: q.high_water for name, q in self.queues.items()}
-
-
-def cell_metrics_from_counts(
-    *,
-    cell: int,
-    start_cycle: int,
-    end_cycle: int,
-    total_cycles: int,
-    issue_cycles: int,
-    alu_ops: int,
-    mpy_ops: int,
-    mem_reads: int,
-    mem_writes: int,
-    receives: int,
-    sends: int,
-    receive_wait_cycles: int = 0,
-) -> CellMetrics:
-    """Derive a :class:`CellMetrics` from raw executor counts."""
-    active = end_cycle - start_cycle
-    stall = max(active - issue_cycles, 0)
-    idle = max(total_cycles - active, 0)
-    return CellMetrics(
-        cell=cell,
-        start_cycle=start_cycle,
-        end_cycle=end_cycle,
-        busy_cycles=issue_cycles,
-        stall_cycles=stall,
-        idle_cycles=idle,
-        alu_ops=alu_ops,
-        mpy_ops=mpy_ops,
-        mem_reads=mem_reads,
-        mem_writes=mem_writes,
-        receives=receives,
-        sends=sends,
-        receive_wait_cycles=receive_wait_cycles,
-    )
-
-
-def queue_metrics_from_times(
-    *,
-    name: str,
-    capacity: int | None,
-    high_water: int,
-    send_times: list[int],
-    recv_times: list[int],
-) -> QueueMetrics:
-    """Derive a :class:`QueueMetrics` from raw enqueue/dequeue cycles."""
-    sends = np.asarray(send_times, dtype=np.int64)
-    recvs = np.asarray(recv_times, dtype=np.int64)
-    consumed = min(sends.size, recvs.size)
-    wait = int((recvs[:consumed] - sends[:consumed]).sum()) if consumed else 0
-    return QueueMetrics(
-        name=name,
-        capacity=capacity,
-        items_sent=int(sends.size),
-        items_received=int(recvs.size),
-        high_water=high_water,
-        total_wait_cycles=wait,
-        send_times=sends,
-        recv_times=recvs,
-    )

@@ -26,6 +26,7 @@ from repro.errors import QueueUnderflowError
 from repro.ir.dag import OpKind, QueueRef
 from repro.lang.ast import Channel, Direction
 from repro.machine.cell import CellExecutor
+from repro.machine.plan import block_plans
 from repro.machine.queue import TimedQueue
 
 IN_X = QueueRef(Direction.LEFT, Channel.X)
@@ -57,6 +58,7 @@ def run_cell(code, in_values=()):
         in_queues={Channel.X: in_x, Channel.Y: TimedQueue("in.y")},
         out_queues={Channel.X: out_x, Channel.Y: TimedQueue("out.y")},
         address_queue=TimedQueue("adr"),
+        block_plans=block_plans(code),
     )
     stats = executor.run()
     return out_x, stats, executor
@@ -165,7 +167,7 @@ class TestLoopsAndStats:
         assert out.values == [1.0, 2.0, 3.0]
         assert out.send_times == [1, 3, 5]
         assert stats.receives == 3 and stats.sends == 3
-        assert stats.end_time == 6
+        assert stats.end_cycle == 6
 
     def test_underflow_detected(self):
         instructions = [instr(deqs=[DeqOp(IN_X, Reg(0))])]

@@ -23,9 +23,16 @@ from repro.errors import (
     SimulationError,
 )
 from repro.exec import BatchRunner, CompileCache
-from repro.faults import FaultInjector, FaultKind, FaultSpec, InjectionPlan
+from repro.faults import (
+    FaultInjector,
+    FaultKind,
+    FaultSpec,
+    FaultyQueue,
+    InjectionPlan,
+)
 from repro.lang import Channel
-from repro.machine import simulate
+from repro.machine import WarpMachine, simulate
+from repro.obs import metrics_to_json
 from repro.programs import conv1d, passthrough, polynomial
 
 PROGRAM_FACTORIES = {
@@ -198,6 +205,30 @@ class TestMachineFaultMatrix:
         assert not injector.fired
         assert result.fault_report == []
         _assert_identical(result, clean)
+
+    @pytest.mark.parametrize("program_name", ["polynomial", "conv1d"])
+    def test_clean_run_never_reaches_the_fault_layer(
+        self, fleet, program_name, monkeypatch
+    ):
+        """Clean-path purity through the fault seam: with ``faults=None``
+        the machine builds no FaultyQueue and calls no injector hook,
+        and the run is bit-identical to a normal one."""
+        program, inputs, clean = fleet[program_name]
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("a clean run reached the fault layer")
+
+        monkeypatch.setattr(FaultyQueue, "__init__", forbidden)
+        hooks = ("link", "start_delay", "after_run", "on_enqueue", "report")
+        for hook in hooks:
+            monkeypatch.setattr(FaultInjector, hook, forbidden)
+        result = WarpMachine(program).run(inputs, faults=None)
+        _assert_identical(result, clean)
+        assert result.total_cycles == clean.total_cycles
+        assert result.fault_report == []
+        assert metrics_to_json(result.machine_metrics) == metrics_to_json(
+            clean.machine_metrics
+        )
 
 
 class TestCacheCorruption:

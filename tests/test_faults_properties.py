@@ -121,7 +121,8 @@ class TestQueueBoundTightness:
             assert np.array_equal(result.outputs[out], data)
         # The runtime peak equals the static requirement (not just <=).
         for link in range(1, program.n_cells):
-            assert result.queue_occupancy[f"link{link}.X"] == required
+            high_water = result.machine_metrics.queue_high_water
+            assert high_water[f"link{link}.X"] == required
 
         # Necessary: one word less always overflows.
         with pytest.raises(QueueCapacityError):

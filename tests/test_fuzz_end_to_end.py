@@ -117,8 +117,8 @@ class TestFuzzedPipelines:
             observed = max(
                 (
                     v
-                    for k, v in result.queue_occupancy.items()
-                    if k.endswith(suffix)
+                    for k, v in result.machine_metrics.queue_high_water.items()
+                    if k.endswith(suffix) and not k.startswith("link0.")
                 ),
                 default=0,
             )

@@ -1,22 +1,31 @@
-"""Golden-file tests for the cell microcode listings.
+"""Golden-file tests for the cell microcode listings and simulated runs.
 
-Three fixed small programs are compiled and their
+Fixed small programs are compiled and their
 :func:`repro.cellcodegen.listing.format_cell_code` output compared
 *character for character* against ``tests/goldens/*.listing``.  Any
 change to scheduling, register allocation or the listing format shows
-up as a diff here; run ``pytest --update-goldens`` to accept an
-intentional change and review the new files in the commit.
+up as a diff here.  Two of them are also run on seeded inputs and three
+renderings of the run are compared byte for byte: the metrics JSON
+(``*.metrics.json``), the Chrome trace events (``*.trace.jsonl``, one
+event per line) and the Figure 4-2 two-cell trace (``*.fig4_2.txt``).
+Run ``pytest --update-goldens`` to accept an intentional change and
+review the new files in the commit.
 """
 
 from __future__ import annotations
 
 import difflib
+import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.cellcodegen.listing import format_cell_code
-from repro.compiler import compile_w2
+from repro.compiler import compile_w2, predict_performance
+from repro.machine import MachineRecorder, simulate
+from repro.machine.trace import format_two_cell_trace
+from repro.obs import metrics_to_json, simulation_trace_events
 from repro.programs import conv1d, conv2d, passthrough, polynomial
 
 GOLDENS_DIR = Path(__file__).resolve().parent / "goldens"
@@ -33,41 +42,88 @@ GOLDEN_PROGRAMS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_PROGRAMS))
-def test_listing_matches_golden(name, update_goldens):
-    source, kwargs = GOLDEN_PROGRAMS[name]
-    program = compile_w2(source, **kwargs)
-    listing = format_cell_code(program.cell_code) + "\n"
-    golden_path = GOLDENS_DIR / f"{name}.listing"
+#: name -> input array sizes of the simulated-run goldens (a subset of
+#: GOLDEN_PROGRAMS).  Inputs are standard normals from a fixed seed.
+GOLDEN_RUNS = {
+    "polynomial_8x3": {"c": 3, "z": 8},
+    "conv1d_12x3": {"w": 3, "x": 12},
+}
 
+#: Suffixes of the three renderings of one golden run.
+RUN_RENDERINGS = ("metrics.json", "trace.jsonl", "fig4_2.txt")
+
+
+def _check_golden(filename: str, text: str, update_goldens: bool) -> None:
+    golden_path = GOLDENS_DIR / filename
     if update_goldens:
         GOLDENS_DIR.mkdir(exist_ok=True)
-        golden_path.write_text(listing)
+        golden_path.write_text(text)
         return
 
     assert golden_path.exists(), (
         f"missing golden {golden_path.name}; run pytest --update-goldens"
     )
     expected = golden_path.read_text()
-    if listing != expected:
+    if text != expected:
         diff = "\n".join(
             difflib.unified_diff(
                 expected.splitlines(),
-                listing.splitlines(),
-                fromfile=f"goldens/{name}.listing",
+                text.splitlines(),
+                fromfile=f"goldens/{filename}",
                 tofile="current output",
                 lineterm="",
             )
         )
         pytest.fail(
-            f"listing for {name} changed (run pytest --update-goldens "
-            f"if intentional):\n{diff}"
+            f"{filename} changed (run pytest --update-goldens if "
+            f"intentional):\n{diff}"
         )
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_PROGRAMS))
+def test_listing_matches_golden(name, update_goldens):
+    source, kwargs = GOLDEN_PROGRAMS[name]
+    program = compile_w2(source, **kwargs)
+    listing = format_cell_code(program.cell_code) + "\n"
+    _check_golden(f"{name}.listing", listing, update_goldens)
+
+
+def _render_run(name: str) -> dict[str, str]:
+    """The three byte-deterministic renderings of one seeded run."""
+    source, kwargs = GOLDEN_PROGRAMS[name]
+    program = compile_w2(source, **kwargs)
+    rng = np.random.default_rng(20261017)
+    inputs = {
+        array: rng.standard_normal(size)
+        for array, size in GOLDEN_RUNS[name].items()
+    }
+    result = simulate(program, inputs, record=MachineRecorder(io_limit=8))
+    metrics = metrics_to_json(
+        result.machine_metrics, prediction=predict_performance(program)
+    )
+    return {
+        "metrics.json": json.dumps(metrics, indent=2) + "\n",
+        "trace.jsonl": "".join(
+            json.dumps(event) + "\n"
+            for event in simulation_trace_events(result)
+        ),
+        "fig4_2.txt": format_two_cell_trace(result.record.trace) + "\n",
+    }
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_run_matches_golden(name, update_goldens):
+    for suffix, text in _render_run(name).items():
+        _check_golden(f"{name}.{suffix}", text, update_goldens)
 
 
 def test_goldens_directory_has_no_strays():
     """Every golden on disk corresponds to a case above (catches
     renamed cases leaving stale files behind)."""
-    expected = {f"{name}.listing" for name in GOLDEN_PROGRAMS}
-    actual = {path.name for path in GOLDENS_DIR.glob("*.listing")}
+    expected = {f"{name}.listing" for name in GOLDEN_PROGRAMS} | {
+        f"{name}.{suffix}"
+        for name in GOLDEN_RUNS
+        for suffix in RUN_RENDERINGS
+    }
+    actual = {path.name for path in GOLDENS_DIR.iterdir()}
     assert actual == expected

@@ -7,8 +7,7 @@ import pytest
 from repro.cellcodegen.listing import format_cell_code
 from repro.compiler import compile_w2, format_metrics_table
 from repro.lang import Channel
-from repro.machine import simulate
-from repro.machine.cell import TraceEvent
+from repro.machine import MachineRecorder, TraceEvent, simulate
 from repro.machine.trace import format_two_cell_trace
 from repro.programs import passthrough, polynomial
 from repro.timing import count_stream_events, input_stream, output_stream
@@ -89,9 +88,9 @@ class TestTraceRendering:
         result = simulate(
             program,
             {"z": rng.uniform(-1, 1, 12), "c": rng.standard_normal(4)},
-            trace_limit=10,
+            record=MachineRecorder(io_limit=10),
         )
-        cells = {event.cell for event in result.trace}
+        cells = {event.cell for event in result.record.trace}
         assert {0, 1, 2, 3} <= cells
 
 

@@ -7,7 +7,7 @@ from repro.compiler import compile_w2
 from repro.errors import HostDataError
 from repro.hostcodegen import generate_host_program
 from repro.lang import Channel
-from repro.machine import TimedQueue
+from repro.machine import ExecutionPlan, TimedQueue
 from repro.machine.host import HostMemory, collect_outputs, feed_input_queues
 from repro.programs import polynomial
 
@@ -53,7 +53,7 @@ class TestFeeder:
             Channel.X: TimedQueue("x"),
             Channel.Y: TimedQueue("y"),
         }
-        feed_input_queues(program.host_program, memory, queues)
+        feed_input_queues(memory, queues, ExecutionPlan(program).input_refs)
         # Item k enters at cycle k (host bandwidth budget).
         assert queues[Channel.X].send_times == list(range(9))
         # First three X items are the coefficients.
@@ -62,7 +62,7 @@ class TestFeeder:
     def test_literals_fed_directly(self, program):
         memory = HostMemory.from_inputs(program.ir.host_arrays, {})
         queues = {Channel.X: TimedQueue("x"), Channel.Y: TimedQueue("y")}
-        feed_input_queues(program.host_program, memory, queues)
+        feed_input_queues(memory, queues, ExecutionPlan(program).input_refs)
         assert all(v == 0.0 for v in queues[Channel.Y].values)
 
 
@@ -73,7 +73,9 @@ class TestCollector:
         queues = {Channel.X: TimedQueue("x"), Channel.Y: TimedQueue("y")}
         queues[Channel.Y].enqueue(0, 1.0)  # only one item; expects 6
         with pytest.raises(HostDataError, match="expects"):
-            collect_outputs(program.host_program, memory, queues)
+            collect_outputs(
+                memory, queues, ExecutionPlan(program).output_bindings
+            )
 
     def test_discards_skipped(self):
         program = compile_w2(polynomial(6, 3))
@@ -84,7 +86,7 @@ class TestCollector:
             queues[Channel.X].enqueue(k, 99.0)
         for k in range(host.output_count(Channel.Y)):
             queues[Channel.Y].enqueue(k, float(k))
-        collect_outputs(host, memory, queues)
+        collect_outputs(memory, queues, ExecutionPlan(program).output_bindings)
         # X outputs are all discards; results took the Y values.
         assert list(memory.arrays["results"]) == [float(k) for k in range(6)]
         assert not np.any(memory.arrays["z"] == 99.0)

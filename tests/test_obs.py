@@ -8,11 +8,8 @@ import pytest
 
 from repro import obs
 from repro.obs.core import NULL_TELEMETRY, Telemetry
-from repro.obs.metrics import (
-    MachineRecorder,
-    cell_metrics_from_counts,
-    queue_metrics_from_times,
-)
+from repro.machine import TimedQueue
+from repro.obs.metrics import CellMetrics, MachineRecorder
 
 
 class TestSpans:
@@ -118,18 +115,30 @@ class TestDisabledMode:
         assert NULL_TELEMETRY.counters == {}
 
 
+def _queue_metrics(sends, receives):
+    """The metrics of a queue that carried items at these cycles."""
+    queue = TimedQueue("q")
+    events = sorted(
+        [(t, 0) for t in sends] + [(t, 1) for t in receives]
+    )  # sends before same-cycle receives
+    for time, is_receive in events:
+        if is_receive:
+            queue.dequeue(time)
+        else:
+            queue.enqueue(time, float(time))
+    return queue.metrics()
+
+
 class TestMetricsDataclasses:
     def test_cell_breakdown_partitions_run(self):
-        cell = cell_metrics_from_counts(
+        cell = CellMetrics(
             cell=1,
             start_cycle=10,
             end_cycle=110,
-            total_cycles=150,
-            issue_cycles=60,
+            busy_cycles=60,
+            idle_cycles=50,  # 150-cycle array run
             alu_ops=30,
             mpy_ops=20,
-            mem_reads=0,
-            mem_writes=0,
             receives=5,
             sends=5,
         )
@@ -141,26 +150,15 @@ class TestMetricsDataclasses:
         assert cell.fp_ops == 50
 
     def test_queue_metrics_residency(self):
-        queue = queue_metrics_from_times(
-            name="q",
-            capacity=8,
-            high_water=2,
-            send_times=[0, 1, 2, 3],
-            recv_times=[2, 3, 4],
-        )
+        queue = _queue_metrics(sends=[0, 1, 2, 3], receives=[2, 3, 4])
         assert queue.items_sent == 4
         assert queue.items_received == 3
         assert queue.total_wait_cycles == (2 - 0) + (3 - 1) + (4 - 2)
         assert queue.mean_residency == pytest.approx(2.0)
+        assert queue.high_water == 3  # three sent by the first receive
 
     def test_occupancy_series_and_histogram(self):
-        queue = queue_metrics_from_times(
-            name="q",
-            capacity=None,
-            high_water=2,
-            send_times=[0, 1],
-            recv_times=[1, 4],
-        )
+        queue = _queue_metrics(sends=[0, 1], receives=[1, 4])
         times, occupancy = queue.occupancy_series()
         # t=0: 1 in flight; t=1: second send + first receive -> 2, then
         # drops to 1 at t=2; empties after t=4.
@@ -178,6 +176,15 @@ class TestMetricsDataclasses:
             recorder.block(0, k, k * 10, 10, 3)
         assert len(recorder.blocks) == 2
         assert recorder.truncated
+
+    def test_recorder_caps_io_events_per_cell(self):
+        recorder = MachineRecorder(io_limit=2)
+        for cell in (0, 1):
+            for t in range(4):
+                recorder.io(cell, t, "send", "R.X", float(t))
+        assert [(e.cell, e.time) for e in recorder.trace] == [
+            (0, 0), (0, 1), (1, 0), (1, 1)
+        ]
 
 
 def _spans_fixture() -> Telemetry:
@@ -223,7 +230,7 @@ class TestChromeTraceExport:
         result = simulate(
             program,
             {"z": rng.uniform(-1, 1, 12), "c": rng.standard_normal(3)},
-            record=True,
+            record=MachineRecorder(),
         )
         events = obs.machine_trace_events(
             result.machine_metrics, result.record
@@ -264,7 +271,7 @@ class TestChromeTraceExport:
         assert isinstance(document["traceEvents"], list)
 
     def test_fallback_without_record(self, rng):
-        """Without record=True the cell lanes carry one execute span."""
+        """Without a recorder the cell lanes carry one execute span."""
         from repro.compiler import compile_w2
         from repro.machine import simulate
         from repro.programs import passthrough

@@ -1,8 +1,15 @@
 """Regression tests for bugs found during development (mostly by the
 property-based fuzzers).  Each test documents the failure mode."""
 
-import numpy as np
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
+import pytest
+
+import repro
 from repro.compiler import compile_w2
 from repro.lang import analyze, parse_module
 from repro.machine import interpret, simulate
@@ -186,6 +193,7 @@ class TestSameCycleMachineOrdering:
         from repro.ir.dag import QueueRef
         from repro.lang.ast import Channel, Direction
         from repro.machine.cell import CellExecutor
+        from repro.machine.plan import block_plans
         from repro.machine.queue import TimedQueue
 
         config = CellConfig()
@@ -223,6 +231,7 @@ class TestSameCycleMachineOrdering:
             in_queues={c: TimedQueue(f"in.{c}") for c in Channel},
             out_queues={Channel.X: out_x, Channel.Y: TimedQueue("out.y")},
             address_queue=addresses,
+            block_plans=block_plans(code),
         )
         executor.run()
         assert out_x.values == [42.0], (
@@ -284,6 +293,89 @@ end
             check.startswith(("slot_order.", "hazard.", "stream.", "iu."))
             for check in report.failed_checks()
         ), report.format()
+
+
+#: Builds a one-instruction cell program whose enqueue names the LEFT
+#: queue, then builds its execution plan.  Prints how the plan treated
+#: the misrouted send.
+_MISROUTED_SEND = """
+from repro.cellcodegen.emit import CellCode, ScheduledBlock
+from repro.cellcodegen.isa import EnqOp, Lit, MicroInstr
+from repro.cellcodegen.layout import MemoryLayout
+from repro.config import CellConfig
+from repro.errors import SimulationError
+from repro.ir.dag import QueueRef
+from repro.lang.ast import Channel, Direction
+from repro.machine.plan import block_plans
+
+instr = MicroInstr()
+instr.enqs = [EnqOp(QueueRef(Direction.LEFT, Channel.X), Lit(1.0))]
+block = ScheduledBlock(block_id=0, instructions=[instr], length=1)
+code = CellCode(
+    items=[block], layout=MemoryLayout(), pinned={}, config=CellConfig()
+)
+try:
+    block_plans(code)
+except SimulationError as error:
+    print("rejected:", error)
+else:
+    print("accepted")
+"""
+
+
+class TestQueueDirectionCheck:
+    """The direction check on queue operations was an ``assert`` in the
+    executor, so ``python -O`` dropped it and silently sent an
+    ``enq L.X`` on the right-hand ``out.x`` link.  It is now a
+    :class:`~repro.errors.SimulationError` raised when the plan is
+    built, under every interpreter flag."""
+
+    @pytest.mark.parametrize("queue_op", ["enq", "deq"])
+    def test_misrouted_queue_op_rejected_at_plan_build(self, queue_op):
+        from repro.cellcodegen.emit import CellCode, ScheduledBlock
+        from repro.cellcodegen.isa import DeqOp, EnqOp, Lit, MicroInstr, Reg
+        from repro.cellcodegen.layout import MemoryLayout
+        from repro.config import CellConfig
+        from repro.errors import SimulationError
+        from repro.ir.dag import QueueRef
+        from repro.lang.ast import Channel, Direction
+        from repro.machine.plan import block_plans
+
+        instr = MicroInstr()
+        if queue_op == "enq":
+            left_x = QueueRef(Direction.LEFT, Channel.X)
+            instr.enqs = [EnqOp(left_x, Lit(1.0))]
+        else:
+            right_y = QueueRef(Direction.RIGHT, Channel.Y)
+            instr.deqs = [DeqOp(right_y, Reg(0))]
+        block = ScheduledBlock(block_id=0, instructions=[instr], length=1)
+        code = CellCode(
+            items=[block],
+            layout=MemoryLayout(),
+            pinned={},
+            config=CellConfig(),
+        )
+        with pytest.raises(SimulationError, match="only receives from"):
+            block_plans(code)
+
+    @pytest.mark.parametrize(
+        "flags", [[], ["-O"]], ids=["normal", "optimized"]
+    )
+    def test_misrouted_send_rejected_in_subprocess(self, flags):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        completed = subprocess.run(
+            [sys.executable, *flags, "-c", _MISROUTED_SEND],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.startswith("rejected:"), completed.stdout
 
 
 class TestSkewEdgeCases:

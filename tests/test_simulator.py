@@ -11,7 +11,7 @@ from repro.errors import (
     QueueCapacityError,
     QueueUnderflowError,
 )
-from repro.machine import TimedQueue, simulate
+from repro.machine import MachineRecorder, TimedQueue, simulate
 from repro.machine.trace import format_two_cell_trace
 from repro.programs import passthrough, polynomial
 
@@ -53,7 +53,7 @@ class TestTimedQueue:
         for _ in range(3):
             q.dequeue(10)
         with pytest.raises(QueueCapacityError):
-            q.audit_capacity()
+            q.audit()
 
     def test_occupancy_value(self):
         q = TimedQueue("q", capacity=8)
@@ -61,7 +61,7 @@ class TestTimedQueue:
         q.enqueue(1, 2.0)
         q.dequeue(1)
         q.dequeue(2)
-        assert q.audit_capacity() == 2
+        assert q.audit().high_water == 2
 
 
 class TestSimulationChecks:
@@ -103,7 +103,7 @@ class TestStatsAndTrace:
             program,
             {"z": rng.standard_normal(8), "c": rng.standard_normal(4)},
         )
-        starts = [s.start_time for s in result.cell_stats]
+        starts = [s.start_cycle for s in result.cell_stats]
         skew = program.skew.skew
         assert starts == [i * skew for i in range(4)]
 
@@ -127,9 +127,9 @@ class TestStatsAndTrace:
         result = simulate(
             program,
             {"z": rng.standard_normal(8), "c": rng.standard_normal(4)},
-            trace_limit=40,
+            record=MachineRecorder(io_limit=40),
         )
-        text = format_two_cell_trace(result.trace)
+        text = format_two_cell_trace(result.record.trace)
         assert "Cell 0" in text and "receive" in text and "send" in text
 
     def test_queue_occupancy_within_analysis(self):
@@ -143,6 +143,8 @@ class TestStatsAndTrace:
         )
         analysis = {str(b.channel): b.required for b in program.buffers}
         observed_x = max(
-            v for k, v in result.queue_occupancy.items() if k.endswith(".X")
+            v
+            for k, v in result.machine_metrics.queue_high_water.items()
+            if k.endswith(".X") and not k.startswith("link0.")
         )
         assert observed_x == analysis["X"]
