@@ -200,6 +200,66 @@ def test_batched_execution_speedup(benchmark, rng, report):
     )
 
 
+@pytest.mark.parametrize(
+    "name,source,make_item",
+    [
+        (
+            "polynomial(16,8)",
+            polynomial(16, 8),
+            lambda rng: {"z": rng.standard_normal(16), "c": rng.standard_normal(8)},
+        ),
+        (
+            "conv1d(64,9)",
+            conv1d(64, 9),
+            lambda rng: {"x": rng.standard_normal(64), "w": rng.standard_normal(9)},
+        ),
+    ],
+)
+def test_lane_batch_speedup(benchmark, rng, report, name, source, make_item):
+    """E-BATCH lanes: a clean 1000-item batch runs the cycle interpreter
+    once over a (batch,) value axis instead of once per item.  It must
+    reach at least 20x the items/s of a per-item ``WarpMachine.run``
+    loop on one reused machine, with bit-identical outputs."""
+    from repro.machine import WarpMachine
+
+    n_items = 1000
+    program = compile_w2(source, unroll="auto")
+    items = [make_item(rng) for _ in range(n_items)]
+
+    def measure():
+        machine = WarpMachine(program)
+        machine.run(items[0])  # build the scalar plans untimed
+        started = time.perf_counter()
+        per_item = [machine.run(item) for item in items]
+        per_item_s = time.perf_counter() - started
+
+        runner = BatchRunner(program)
+        runner.machine.run_many(items[:1])  # build the lane plans untimed
+        started = time.perf_counter()
+        batched = runner.run(items)
+        batched_s = time.perf_counter() - started
+
+        assert batched.ok
+        for theirs, mine in zip(per_item, batched.results):
+            for out_name, values in theirs.outputs.items():
+                assert mine.outputs[out_name].tobytes() == values.tobytes()
+            assert mine.total_cycles == theirs.total_cycles
+        return per_item_s, batched_s
+
+    per_item_s, batched_s = benchmark.pedantic(measure, rounds=1, iterations=1)
+    speedup = per_item_s / batched_s
+    lines = [
+        f"{'mode':<34} {'wall':>9} {'items/s':>10}",
+        f"{'1000x WarpMachine.run (reused)':<34} {per_item_s:>8.3f}s "
+        f"{n_items / per_item_s:>10.1f}",
+        f"{'BatchRunner lane run':<34} {batched_s:>8.3f}s "
+        f"{n_items / batched_s:>10.1f}",
+        f"speedup: {speedup:.1f}x (outputs bit-identical item for item)",
+    ]
+    assert speedup >= 20.0, f"lane speedup {speedup:.2f}x below the 20x bar"
+    report.section(f"E-BATCH lanes: {name}, 1000 items", "\n".join(lines))
+
+
 def test_pipelining_headroom(benchmark, rng, report):
     """ResMII analysis: the paper's 1-result/cycle claim is exactly the
     resource bound of the inner loop (the queue port); the gap between

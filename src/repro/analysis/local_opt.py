@@ -22,7 +22,10 @@ datapath materialises comparison results.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from ..ir.dag import Dag, Node, OpKind
 
@@ -72,6 +75,50 @@ def pure_evaluator(op: OpKind) -> Optional[Callable[..., float]]:
     Resolving the dispatch once (e.g. when the simulator pre-decodes a
     schedule) avoids a per-execution dictionary lookup."""
     return _ARITH_EVAL.get(op) or _EXTRA_EVAL.get(op)
+
+
+def _lane_divide(a, b):
+    # Python raises on a zero divisor where NumPy would return inf/NaN;
+    # one zero lane raises for the whole batch, like the scalar path.
+    if not np.all(b):
+        raise ZeroDivisionError("float division by zero")
+    return a / b
+
+
+def _lane_flag(test: Callable) -> Callable:
+    return lambda *values: np.where(test(*values), 1.0, 0.0)
+
+
+_LANE_EVAL: dict[OpKind, Callable[..., object]] = {
+    OpKind.FADD: operator.add,
+    OpKind.FSUB: operator.sub,
+    OpKind.FMUL: operator.mul,
+    OpKind.FDIV: _lane_divide,
+    OpKind.FNEG: operator.neg,
+    OpKind.CMP_EQ: _lane_flag(operator.eq),
+    OpKind.CMP_NE: _lane_flag(operator.ne),
+    OpKind.CMP_LT: _lane_flag(operator.lt),
+    OpKind.CMP_LE: _lane_flag(operator.le),
+    OpKind.CMP_GT: _lane_flag(operator.gt),
+    OpKind.CMP_GE: _lane_flag(operator.ge),
+    OpKind.BAND: _lane_flag(lambda a, b: (a != 0.0) & (b != 0.0)),
+    OpKind.BOR: _lane_flag(lambda a, b: (a != 0.0) | (b != 0.0)),
+    OpKind.BNOT: _lane_flag(lambda a: a == 0.0),
+    OpKind.SELECT: lambda c, a, b: np.where(c != 0.0, a, b),
+}
+
+
+def lane_evaluator(op: OpKind) -> Optional[Callable[..., object]]:
+    """:func:`pure_evaluator` over a batch axis, or ``None`` for impure
+    ops.
+
+    Operands are float64 arrays of one shape (one lane per batch item)
+    or scalars, and each lane's result is bit-identical to the scalar
+    evaluator's.  Call it under ``np.errstate(all="ignore")``: Python
+    floats overflow to inf and produce NaN silently, and so must this.
+    FDIV raises :class:`ZeroDivisionError` when any lane's divisor is
+    ±0.0."""
+    return _LANE_EVAL.get(op)
 
 
 def evaluate_pure(op: OpKind, values: Sequence[float]) -> float:

@@ -131,6 +131,12 @@ class CellHangError(FatalFault):
     diagnostic instead of a silent timing corruption)."""
 
 
+class CellDivisionError(FatalFault):
+    """A cell's FDIV met a ±0.0 divisor.  The divisor comes from the
+    item's data, so a retry of the same item fails the same way; the
+    item fails and the rest of its batch completes."""
+
+
 class WorkerCrashError(TransientFault):
     """A batch worker process died while running an item."""
 

@@ -13,6 +13,17 @@ Batched results are **bit-identical** to one-shot ``simulate`` calls,
 item for item: the runner changes where static state lives, never what
 the machine computes.  The differential tests lock this down.
 
+A clean serial batch (no injection plan, no pool) runs as **one** lane
+run (:meth:`~repro.machine.array.WarpMachine.run_many`): schedules are
+data-independent, so the interpreter walks the cycles once with a
+``(batch,)`` value per register, memory word and queue entry, and every
+item's result shares that run's one read-only ``MachineMetrics``.  If
+the lane run raises anything — one item's oversized input or zero
+divisor fails the whole run — the runner reruns the batch item by item,
+which gives exactly the per-item failures, retries and errors described
+below.  Injected faults, pool workers and recorded runs always use the
+per-item interpreter.
+
 Batches also *degrade gracefully*: an item that raises a
 :class:`~repro.errors.SimulationError` (or whose worker crashes or
 hangs) is retried up to ``max_retries`` times with exponential backoff,
@@ -292,6 +303,10 @@ class BatchRunner:
     def _run_serial(
         self, input_sets: Sequence[InputSet]
     ) -> tuple[list[SimulationResult | None], list[ItemFailure], int]:
+        if self.faults is None and input_sets:
+            lanes = self._run_lanes(input_sets)
+            if lanes is not None:
+                return lanes, [], 0
         results: list[SimulationResult | None] = []
         failures: list[ItemFailure] = []
         retries = 0
@@ -332,6 +347,21 @@ class BatchRunner:
                     )
                     break
         return results, failures, retries
+
+    def _run_lanes(
+        self, input_sets: Sequence[InputSet]
+    ) -> list[SimulationResult | None] | None:
+        """The whole clean batch as one lane run, or ``None`` if that
+        run raised (the caller then runs the items one by one)."""
+        obs = get_telemetry()
+        try:
+            with obs.span("exec.batch.lanes"):
+                results = self._machine.run_many(input_sets)
+        except Exception:
+            obs.counter("exec.batch.lane_fallbacks")
+            return None
+        obs.counter("exec.batch.lane_items", len(results))
+        return results
 
     def _simulate_worker_fault(self, injector) -> None:
         """In-process stand-ins for worker kill/hang faults, so serial

@@ -16,7 +16,7 @@ by its position, and dequeues it in lock step with its own schedule.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -35,7 +35,7 @@ if TYPE_CHECKING:  # pragma: no cover - avoid circular import at run time
     from ..faults.plan import InjectionPlan
 from .cell import CellExecutor
 from .host import HostMemory, collect_outputs, feed_input_queues
-from .plan import CHANNELS, ExecutionPlan
+from .plan import CHANNELS, BlockPlan, ExecutionPlan
 from .queue import CLEAN_LINKS, LinkFactory, TimedQueue
 
 
@@ -99,11 +99,82 @@ class WarpMachine:
         faults: "InjectionPlan | FaultInjector | None" = None,
     ) -> SimulationResult:
         program = self._program
+        seam = _seam_of(faults)
+        memory = HostMemory.from_inputs(program.ir.host_arrays, inputs)
+        metrics = self._execute(memory, self.plan.blocks, record, seam)
+        return SimulationResult(
+            outputs={
+                name: memory.arrays[name].copy()
+                for name in program.ir.host_arrays
+            },
+            total_cycles=metrics.total_cycles,
+            skew=metrics.skew,
+            machine_metrics=metrics,
+            record=record,
+            fault_report=seam.report(),
+        )
+
+    def run_many(
+        self, input_sets: Sequence[dict[str, np.ndarray]]
+    ) -> list[SimulationResult]:
+        """Clean runs of every input set, computed by **one** run.
+
+        Schedules are data-independent, so every clean run issues the
+        same instructions at the same cycles and moves words through the
+        same queues; only the values differ.  This run carries one
+        float64 lane per item in every register, memory word and queue
+        entry (:attr:`ExecutionPlan.lane_blocks`), through the same
+        executor, queue checks, stream accounting and collector as
+        :meth:`run`.  Each result's outputs are bit-identical to
+        ``run(input_sets[i])``.  Every result shares the run's one
+        :class:`~repro.obs.metrics.MachineMetrics`, which callers must
+        treat as read-only.
+
+        Any :class:`~repro.errors.SimulationError` of one item (an
+        oversized input, a zero divisor) raises for the whole call;
+        :class:`~repro.exec.BatchRunner` then reruns the batch item by
+        item.  There is no fault injection or recording here: those
+        stay on :meth:`run`.
+        """
+        if not input_sets:
+            return []
+        program = self._program
+        memory = HostMemory.from_input_sets(
+            program.ir.host_arrays, list(input_sets)
+        )
+        with np.errstate(all="ignore"):
+            metrics = self._execute(
+                memory, self.plan.lane_blocks, None, CLEAN_LINKS
+            )
+        # One (items, words) copy per array: each item's outputs are
+        # its own rows, aliasing neither host memory nor another item.
+        rows = {
+            name: memory.arrays[name].T.copy()
+            for name in program.ir.host_arrays
+        }
+        return [
+            SimulationResult(
+                outputs={name: data[item] for name, data in rows.items()},
+                total_cycles=metrics.total_cycles,
+                skew=metrics.skew,
+                machine_metrics=metrics,
+            )
+            for item in range(len(input_sets))
+        ]
+
+    def _execute(
+        self,
+        memory: HostMemory,
+        blocks: dict[int, BlockPlan],
+        record: MachineRecorder | None,
+        seam: LinkFactory,
+    ) -> MachineMetrics:
+        """Run every cell over ``memory`` and collect the outputs into
+        it; ``blocks`` are the plan's scalar or lane block plans."""
+        program = self._program
         plan = self.plan
         n_cells = program.n_cells
         skew = program.skew.skew
-        seam = _seam_of(faults)
-        memory = HostMemory.from_inputs(program.ir.host_arrays, inputs)
 
         # Inter-cell data queues; index i connects cell i-1 -> cell i
         # (index 0 is the host boundary, index n_cells the collector).
@@ -145,7 +216,7 @@ class WarpMachine:
                 in_queues=links[cell_index],
                 out_queues=links[cell_index + 1],
                 address_queue=address_queue,
-                block_plans=plan.blocks,
+                block_plans=blocks,
                 recorder=record,
                 deadline=nominal_start + cell_cycles + watchdog_slack,
             )
@@ -185,22 +256,12 @@ class WarpMachine:
                 queues[queue.name].total_wait_cycles
                 for queue in links[cell.cell].values()
             )
-        return SimulationResult(
-            outputs={
-                name: memory.arrays[name].copy()
-                for name in program.ir.host_arrays
-            },
+        return MachineMetrics(
             total_cycles=end_time,
             skew=skew,
-            machine_metrics=MachineMetrics(
-                total_cycles=end_time,
-                skew=skew,
-                cells=cells,
-                queues=queues,
-                iu=plan.iu,
-            ),
-            record=record,
-            fault_report=seam.report(),
+            cells=cells,
+            queues=queues,
+            iu=plan.iu,
         )
 
 

@@ -8,6 +8,11 @@ after that cycle see the new value, earlier reads see the old one —
 precisely the semantics the scheduler's latency edges assume, so any
 scheduler bug surfaces as a wrong result against the reference
 interpreter.
+
+Values are floats, or ``(batch,)`` float64 arrays in a lane run
+(:meth:`~repro.machine.array.WarpMachine.run_many`).  Nothing here
+branches on a value — addresses come from the IU, control flow from
+the static program tree — so one executor serves both.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import heapq
 
 from ..cellcodegen.emit import CellCode, ScheduledBlock, ScheduledLoop
 from ..cellcodegen.isa import AddressSource, Lit, Operand, Reg
-from ..errors import CellHangError
+from ..errors import CellDivisionError, CellHangError
 from ..lang.ast import Channel
 from ..config import CellConfig
 from ..obs import get_telemetry
@@ -174,7 +179,13 @@ class CellExecutor:
             metrics.alu_ops += 1
         if decoded.mpy is not None:
             fn, sources, dest, is_div = decoded.mpy
-            result = fn(*[read(s) for s in sources])
+            try:
+                result = fn(*[read(s) for s in sources])
+            except ZeroDivisionError:
+                raise CellDivisionError(
+                    f"cell {self._cell}: cycle {now}: '{decoded.instr}' "
+                    "divided by zero"
+                ) from None
             latency = config.div_latency if is_div else config.mpy_latency
             self._write_later(now + latency, dest, result)
             metrics.mpy_ops += 1

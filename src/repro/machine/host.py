@@ -10,7 +10,12 @@ word per cycle per channel still underflows, which models the bandwidth
 limit faithfully.
 
 The collector drains the last cell's queues and scatters the values into
-host memory according to the output bindings."""
+host memory according to the output bindings.
+
+A batch run (:meth:`~repro.machine.array.WarpMachine.run_many`) keeps
+each host array as ``(words, batch)``: word ``k`` is then a
+``(batch,)`` lane vector, and the feeder and collector move whole lane
+vectors through the same code."""
 
 from __future__ import annotations
 
@@ -29,7 +34,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @dataclass
 class HostMemory:
-    """Host arrays by name (flattened float64 storage)."""
+    """Host arrays by name (flattened float64 storage; ``(words,
+    batch)`` for a batch run)."""
 
     arrays: dict[str, np.ndarray]
 
@@ -39,21 +45,32 @@ class HostMemory:
         host_shapes: dict[str, tuple[int, ...]],
         inputs: dict[str, "np.ndarray"],
     ) -> "HostMemory":
+        memory = cls.from_input_sets(host_shapes, [inputs])
+        return cls({name: data[:, 0] for name, data in memory.arrays.items()})
+
+    @classmethod
+    def from_input_sets(
+        cls,
+        host_shapes: dict[str, tuple[int, ...]],
+        input_sets: "list[dict[str, np.ndarray]]",
+    ) -> "HostMemory":
+        """Batch memory: item ``i``'s inputs, zero-padded, in lane ``i``."""
+        lanes = len(input_sets)
         arrays: dict[str, np.ndarray] = {}
         for name, dims in host_shapes.items():
             size = int(np.prod(dims)) if dims else 1
-            if name in inputs:
+            padded = np.zeros((size, lanes), dtype=np.float64)
+            for lane, inputs in enumerate(input_sets):
+                if name not in inputs:
+                    continue
                 data = np.asarray(inputs[name], dtype=np.float64).ravel()
                 if data.size > size:
                     raise HostDataError(
                         f"input {name!r} has {data.size} elements; the "
                         f"module declares {size}"
                     )
-                padded = np.zeros(size, dtype=np.float64)
-                padded[: data.size] = data
-                arrays[name] = padded
-            else:
-                arrays[name] = np.zeros(size, dtype=np.float64)
+                padded[: data.size, lane] = data
+            arrays[name] = padded
         return cls(arrays)
 
 
@@ -76,12 +93,15 @@ def feed_input_queues(
             else:
                 assert ref.array is not None and ref.flat_index is not None
                 data = memory.arrays.get(ref.array)
-                if data is None or not (0 <= ref.flat_index < data.size):
+                if data is None or not (0 <= ref.flat_index < len(data)):
                     raise HostDataError(
                         f"input reference {ref.array}[{ref.flat_index}] is "
                         "out of bounds"
                     )
-                value = float(data[ref.flat_index])
+                word = data[ref.flat_index]
+                # A lane vector is copied: the collector may later
+                # overwrite the host word it is a view of.
+                value = word.copy() if word.ndim else float(word)
             queue.enqueue(k, value)
 
 
@@ -107,7 +127,7 @@ def collect_outputs(
                 continue
             assert binding.array is not None and binding.flat_index is not None
             data = memory.arrays[binding.array]
-            if not (0 <= binding.flat_index < data.size):
+            if not (0 <= binding.flat_index < len(data)):
                 raise HostDataError(
                     f"output binding {binding.array}[{binding.flat_index}] "
                     "is out of bounds"

@@ -17,14 +17,21 @@ of a batch:
   cell up to the per-hop delay, rather than re-walked per run.
 * **The host I/O sequences** (input references and output bindings per
   channel), rather than re-derived from the host program per run.
+* **Lane block plans** (:attr:`ExecutionPlan.lane_blocks`): the same
+  block plans decoded with :func:`~repro.analysis.local_opt.lane_evaluator`,
+  so one run computes a whole batch over a ``(batch,)`` value axis.
+  They are built on the first
+  :meth:`~repro.machine.array.WarpMachine.run_many`, never by single
+  runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, TYPE_CHECKING
 
-from ..analysis.local_opt import pure_evaluator
+from ..analysis.local_opt import lane_evaluator, pure_evaluator
 from ..cellcodegen.emit import CellCode, ScheduledBlock
 from ..cellcodegen.isa import (
     AddressSource,
@@ -76,10 +83,12 @@ class DecodedInstr:
     Decoding resolves everything that is the same on every dynamic
     issue — the load/store split, the pure-op evaluation functions, the
     operand tuples — so the executor's hot loop does no dispatch, only
-    state updates.  Queue operations are resolved to a channel index on
-    their link side (dequeues read the input link, enqueues write the
-    output link) plus the queue's name for traces.  ``instr`` stays
-    attached for listings.
+    state updates.  ``evaluate`` maps each pure op to its evaluation
+    function: :func:`pure_evaluator` for scalar runs,
+    :func:`lane_evaluator` for batch runs.  Queue operations are
+    resolved to a channel index on their link side (dequeues read the
+    input link, enqueues write the output link) plus the queue's name
+    for traces.  ``instr`` stays attached for listings.
     """
 
     cycle: int
@@ -103,14 +112,16 @@ class DecodedInstr:
     enqs: tuple[tuple[int, Operand, str], ...]
 
     @classmethod
-    def of(cls, cycle: int, instr: MicroInstr) -> "DecodedInstr":
+    def of(
+        cls, cycle: int, instr: MicroInstr, evaluate=pure_evaluator
+    ) -> "DecodedInstr":
         alu = mpy = None
         if instr.alu is not None:
-            fn = pure_evaluator(instr.alu.op)
+            fn = evaluate(instr.alu.op)
             assert fn is not None, instr.alu.op
             alu = (fn, tuple(instr.alu.sources), instr.alu.dest)
         if instr.mpy is not None:
-            fn = pure_evaluator(instr.mpy.op)
+            fn = evaluate(instr.mpy.op)
             assert fn is not None, instr.mpy.op
             mpy = (
                 fn,
@@ -161,18 +172,23 @@ class BlockPlan:
     active: tuple[DecodedInstr, ...]
 
     @classmethod
-    def of(cls, block: ScheduledBlock) -> "BlockPlan":
+    def of(cls, block: ScheduledBlock, evaluate=pure_evaluator) -> "BlockPlan":
         active = tuple(
-            DecodedInstr.of(cycle, instr)
+            DecodedInstr.of(cycle, instr, evaluate)
             for cycle, instr in enumerate(block.instructions)
             if not instr.is_nop()
         )
         return cls(length=block.length, issued=len(active), active=active)
 
 
-def block_plans(code: CellCode) -> dict[int, BlockPlan]:
+def block_plans(
+    code: CellCode, evaluate=pure_evaluator
+) -> dict[int, BlockPlan]:
     """A :class:`BlockPlan` per static block of ``code``."""
-    return {block.block_id: BlockPlan.of(block) for block in code.blocks()}
+    return {
+        block.block_id: BlockPlan.of(block, evaluate)
+        for block in code.blocks()
+    }
 
 
 def static_send_counts(items) -> dict[Channel, int]:
@@ -201,7 +217,8 @@ class ExecutionPlan:
     """All static per-program simulation state, computed once."""
 
     def __init__(self, program: "CompiledProgram"):
-        self.blocks: dict[int, BlockPlan] = block_plans(program.cell_code)
+        self._code = program.cell_code
+        self.blocks: dict[int, BlockPlan] = block_plans(self._code)
         emissions = list(program.iu_program.emission_times())
         #: The IU emission schedule as parallel time/value lists, so a
         #: cell's address queue is a couple of list copies, not a
@@ -227,6 +244,11 @@ class ExecutionPlan:
         #: stream-accounting guard (every inter-cell link must carry
         #: exactly ``sends_per_run[channel]`` words).
         self.sends_per_run = static_send_counts(program.cell_code.items)
+
+    @cached_property
+    def lane_blocks(self) -> dict[int, BlockPlan]:
+        """:attr:`blocks` decoded for batch runs (built on first use)."""
+        return block_plans(self._code, lane_evaluator)
 
     @property
     def skipped_slots(self) -> int:

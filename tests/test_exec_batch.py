@@ -77,6 +77,100 @@ class TestSerialBatch:
         assert batched.stacked_outputs() == {}
 
 
+class TestLaneBatch:
+    """A clean serial batch runs as one lane run; these pin where it
+    must behave exactly like the per-item interpreter."""
+
+    def test_oversize_input_fails_like_the_per_item_path(self, program, rng):
+        from repro import obs
+        from repro.faults import InjectionPlan
+
+        items = _items(rng, 4)
+        items[2] = {"z": rng.standard_normal(13), "c": rng.standard_normal(4)}
+        with obs.collecting() as telemetry:
+            lanes = run_batch(program, items)
+        assert telemetry.counters["exec.batch.lane_fallbacks"] == 1
+        # Any injection plan, even an empty one, runs items one by one.
+        per_item = run_batch(program, items, faults=InjectionPlan())
+
+        def key(failure):
+            return failure.index, failure.error_type, failure.message
+
+        assert [key(f) for f in lanes.failures] == [
+            key(f) for f in per_item.failures
+        ]
+        assert [f.index for f in lanes.failures] == [2]
+        assert lanes.failures[0].error_type == "HostDataError"
+        for index in (0, 1, 3):
+            expected = simulate(program, items[index]).outputs["results"]
+            for batch in (lanes, per_item):
+                got = batch.results[index].outputs["results"]
+                assert got.tobytes() == expected.tobytes()
+
+    def test_queue_values_do_not_alias_host_memory(self):
+        """Host words are fed to the lanes by copy.  Here the collector
+        writes a swap back into the input array itself: a fed view of
+        ``x[1]`` would see ``x[1]`` overwritten before it is stored."""
+        import dataclasses
+
+        from repro.machine import WarpMachine
+
+        source = """
+module swap (x in, y out)
+float x[2];
+float y[2];
+cellprogram (cid : 0 : 0)
+begin
+    float a, b;
+    receive (L, X, a, x[0]);
+    receive (L, X, b, x[1]);
+    send (R, X, b, y[0]);
+    send (R, X, a, y[1]);
+end
+"""
+        machine = WarpMachine(compile_w2(source))
+        plan = machine.plan
+        plan.output_bindings = {
+            channel: [
+                dataclasses.replace(binding, array="x")
+                if binding.array == "y"
+                else binding
+                for binding in bindings
+            ]
+            for channel, bindings in plan.output_bindings.items()
+        }
+        items = [{"x": np.array([1.0, 2.0])}, {"x": np.array([3.0, 4.0])}]
+        lanes = machine.run_many(items)
+        for item, result in zip(items, lanes):
+            expected = machine.run(item).outputs["x"]
+            assert expected.tolist() == item["x"][::-1].tolist()
+            assert result.outputs["x"].tobytes() == expected.tobytes()
+
+    def test_results_do_not_alias_each_other(self, program, rng):
+        items = _items(rng, 3)
+        batch = run_batch(program, items)
+        for name in batch.results[0].outputs:
+            batch.results[0].outputs[name][:] = np.nan
+        for item, result in zip(items[1:], batch.results[1:]):
+            expected = simulate(program, item)
+            for name, values in expected.outputs.items():
+                assert result.outputs[name].tobytes() == values.tobytes()
+
+    def test_results_share_one_metrics_record(self, program, rng):
+        batch = run_batch(program, _items(rng, 3))
+        first = batch.results[0].machine_metrics
+        assert all(r.machine_metrics is first for r in batch.results)
+
+    def test_single_runs_build_no_lane_plans(self, program, rng):
+        from repro.machine import WarpMachine
+
+        machine = WarpMachine(program)
+        machine.run(_items(rng, 1)[0])
+        assert "lane_blocks" not in vars(machine.plan)
+        machine.run_many(_items(rng, 2))
+        assert "lane_blocks" in vars(machine.plan)
+
+
 @pytest.mark.timeout(120)
 class TestMultiprocessBatch:
     def test_pool_bit_identical_and_ordered(self, program, rng):
@@ -142,8 +236,8 @@ class TestExecutionPlan:
             assert len(block_plan.active) == issued
 
     def test_plan_is_optional(self):
-        """A cell executor without shared plans builds its own lazily
-        and still computes the same result."""
+        """Two runs of one program agree.  (The executor requires block
+        plans; there is no plan-less path left to compare against.)"""
         program = compile_w2(passthrough(8, 2))
         inputs = {"din": np.arange(8.0)}
         expected = simulate(program, inputs)

@@ -1,7 +1,9 @@
 """Tests for local optimisations: folding, algebra, height reduction."""
 
 import math
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -186,3 +188,121 @@ class TestFoldedEvaluationConsistency:
         if math.isfinite(expected):
             assert node.op is OpKind.CONST
             assert node.attr == expected
+
+
+#: Every pure op with its arity.
+_PURE_ARITY = {
+    op: {OpKind.FNEG: 1, OpKind.BNOT: 1, OpKind.SELECT: 3}.get(op, 2)
+    for op in OpKind
+    if local_opt.pure_evaluator(op) is not None
+}
+
+#: Floats with the IEEE edge cases drawn often: NaN, ±inf, ±0.0, the
+#: smallest and largest subnormals and normals.
+_EDGE_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from(
+        [
+            math.nan,
+            -math.nan,
+            math.inf,
+            -math.inf,
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            5e-324,
+            -5e-324,
+            2.225073858507201e-308,
+            2.2250738585072014e-308,
+            1.7976931348623157e308,
+            -1.7976931348623157e308,
+        ]
+    ),
+)
+
+
+def _lanes(op, *columns):
+    """``lane_evaluator(op)`` over ``columns``, as a float64 array; any
+    NumPy floating-point warning fails the test."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="ignore"):
+            result = local_opt.lane_evaluator(op)(*columns)
+    return np.asarray(result, dtype=np.float64)
+
+
+def _scalar_results(op, rows):
+    scalar = local_opt.pure_evaluator(op)
+    return np.array([scalar(*row) for row in rows], dtype=np.float64)
+
+
+class TestLaneEvaluator:
+    """``lane_evaluator`` over a batch axis is ``pure_evaluator`` per
+    lane, bit for bit — the lane-vectorised batch path depends on it."""
+
+    def test_covers_every_pure_op(self):
+        for op in OpKind:
+            scalar = local_opt.pure_evaluator(op)
+            lanes = local_opt.lane_evaluator(op)
+            assert (scalar is None) == (lanes is None), op
+
+    @given(
+        st.sampled_from(sorted(_PURE_ARITY, key=lambda op: op.value)),
+        st.data(),
+    )
+    @settings(max_examples=600, deadline=None)
+    def test_matches_scalar_bit_for_bit(self, op, data):
+        arity = _PURE_ARITY[op]
+        rows = data.draw(
+            st.lists(
+                st.lists(_EDGE_FLOATS, min_size=arity, max_size=arity),
+                min_size=1,
+                max_size=6,
+            )
+        )
+        # Some operands are one scalar shared by every lane, as
+        # literals and never-written registers are in a lane run.
+        shared = data.draw(
+            st.lists(st.booleans(), min_size=arity, max_size=arity)
+        )
+        columns = []
+        for k in range(arity):
+            if shared[k]:
+                for row in rows:
+                    row[k] = rows[0][k]
+                columns.append(rows[0][k])
+            else:
+                columns.append(np.array([row[k] for row in rows]))
+        if op is OpKind.FDIV and any(row[1] == 0.0 for row in rows):
+            with pytest.raises(ZeroDivisionError):
+                _lanes(op, *columns)
+            return
+        got = np.broadcast_to(_lanes(op, *columns), (len(rows),))
+        assert got.tobytes() == _scalar_results(op, rows).tobytes()
+
+    @pytest.mark.parametrize(
+        "op,rows",
+        [
+            (OpKind.SELECT, [[math.nan, -0.0, 1.0], [-0.0, 2.0, -0.0]]),
+            (OpKind.SELECT, [[0.0, math.nan, -0.0], [1.0, -0.0, math.nan]]),
+            (OpKind.BAND, [[math.nan, 1.0], [-0.0, 1.0], [math.nan, -0.0]]),
+            (OpKind.BOR, [[math.nan, 0.0], [-0.0, -0.0], [-0.0, math.nan]]),
+            (OpKind.BNOT, [[math.nan], [-0.0], [0.0], [-math.inf]]),
+        ],
+    )
+    def test_boolean_edge_cases(self, op, rows):
+        columns = [np.array(column) for column in zip(*rows)]
+        assert _lanes(op, *columns).tobytes() == (
+            _scalar_results(op, rows).tobytes()
+        )
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_divide_raises_when_one_lane_divides_by_zero(self, zero):
+        divisors = np.array([2.0, math.nan, zero, math.inf])
+        with pytest.raises(ZeroDivisionError):
+            _lanes(OpKind.FDIV, np.ones(4), divisors)
+        with pytest.raises(ZeroDivisionError):
+            _lanes(OpKind.FDIV, np.ones(4), zero)
+        with pytest.raises(ZeroDivisionError):
+            local_opt.pure_evaluator(OpKind.FDIV)(1.0, zero)

@@ -388,26 +388,59 @@ end
 
 class TestBatchedMatchesOneShot:
     """The batched path is bit-identical to one-shot simulation, item
-    for item, for every bundled program (no tolerance here: batching
-    must never change what the machine computes)."""
+    for item, for every bundled program and ``examples/`` source at
+    every unroll factor (no tolerance here: batching must never change
+    what the machine computes).  A clean serial batch runs as one lane
+    run, so this is the differential check of the lane path, including
+    conv2d's same-cycle IU slot order at unroll 4."""
+
+    @staticmethod
+    def _cases(program_suite):
+        cases = [(name, source, inputs) for name, source, inputs, _ in program_suite]
+        for name, source in _example_w2_sources():
+            host_arrays = compile_w2(source).ir.host_arrays
+            cases.append((name, source, {
+                array: np.zeros(int(np.prod(dims)) if dims else 1)
+                for array, dims in host_arrays.items()
+            }))
+        return cases
 
     def test_bundled_programs_item_for_item(self, program_suite, rng):
-        for name, source, inputs, _ref in program_suite:
-            program = compile_w2(source)
-            items = [inputs] + [
-                {
-                    array: rng.standard_normal(values.shape)
-                    for array, values in inputs.items()
-                }
-                for _ in range(2)
-            ]
-            batched = BatchRunner(program).run(items)
-            assert batched.n_items == len(items)
-            for item, result in zip(items, batched.results):
-                one_shot = simulate(program, item)
-                assert set(result.outputs) == set(one_shot.outputs)
-                for out_name, expected in one_shot.outputs.items():
-                    assert np.array_equal(
-                        result.outputs[out_name], expected
-                    ), f"{name}:{out_name} batched != one-shot"
-                assert result.total_cycles == one_shot.total_cycles
+        self._check_item_for_item(program_suite, rng, unroll=1)
+
+    @pytest.mark.parametrize("unroll", [2, 4, "auto"])
+    def test_bundled_programs_item_for_item_unrolled(
+        self, program_suite, rng, unroll
+    ):
+        self._check_item_for_item(program_suite, rng, unroll)
+
+    def _check_item_for_item(self, program_suite, rng, unroll):
+        from repro import obs
+        from repro.obs import metrics_to_json
+
+        n_items = 0
+        with obs.collecting() as telemetry:
+            for name, source, inputs in self._cases(program_suite):
+                program = compile_w2(source, unroll=unroll)
+                items = [inputs] + [
+                    {
+                        array: rng.standard_normal(values.shape)
+                        for array, values in inputs.items()
+                    }
+                    for _ in range(2)
+                ]
+                batched = BatchRunner(program).run(items)
+                n_items += len(items)
+                assert batched.ok and batched.n_items == len(items)
+                for item, result in zip(items, batched.results):
+                    one_shot = simulate(program, item)
+                    assert set(result.outputs) == set(one_shot.outputs)
+                    for out_name, expected in one_shot.outputs.items():
+                        assert result.outputs[out_name].tobytes() == (
+                            expected.tobytes()
+                        ), f"{name}:{out_name} batched != one-shot"
+                    assert metrics_to_json(result.machine_metrics) == (
+                        metrics_to_json(one_shot.machine_metrics)
+                    ), f"{name}: batched metrics != one-shot"
+        assert telemetry.counters["exec.batch.lane_items"] == n_items
+        assert "exec.batch.lane_fallbacks" not in telemetry.counters

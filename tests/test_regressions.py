@@ -438,3 +438,86 @@ class TestConservationPad:
             {"z": rng.uniform(-1, 1, 8), "c": rng.standard_normal(4)},
         )
         assert result.total_cycles > 0
+
+
+_QUOTIENT = """
+module quotient (x in, y in, z out)
+float x[2];
+float y[2];
+float z[2];
+cellprogram (cid : 0 : 0)
+begin
+    float a, b;
+    receive (L, X, a, x[0]);
+    receive (L, Y, b, y[0]);
+    send (R, X, a / b, z[0]);
+    receive (L, X, a, x[1]);
+    receive (L, Y, b, y[1]);
+    send (R, X, a / b, z[1]);
+end
+"""
+
+
+class TestZeroDivisorFailsOneItem:
+    """A cell's FDIV with a 0.0 divisor raised a bare
+    ``ZeroDivisionError`` out of ``BatchRunner.run``, losing every other
+    item of the batch.  It is now a non-retryable
+    :class:`~repro.errors.CellDivisionError` naming the cell, cycle and
+    instruction, so the item becomes an ``ItemFailure`` and the rest
+    complete — on the per-item path and through the lane path's
+    fallback alike."""
+
+    ITEMS = [
+        {"x": np.array([1.0, 2.0]), "y": np.array([4.0, 8.0])},
+        {"x": np.array([1.0, 2.0]), "y": np.array([4.0, 0.0])},
+        {"x": np.array([3.0, -6.0]), "y": np.array([-0.5, 3.0])},
+    ]
+
+    @pytest.fixture(scope="class")
+    def program(self):
+        return compile_w2(_QUOTIENT)
+
+    def test_single_run_names_cell_cycle_and_instruction(self, program):
+        from repro.errors import CellDivisionError, FatalFault
+
+        with pytest.raises(CellDivisionError) as caught:
+            simulate(program, self.ITEMS[1])
+        assert isinstance(caught.value, FatalFault)
+        message = str(caught.value)
+        assert message.startswith("cell 0: cycle ")
+        assert "mpy.fdiv" in message and "divided by zero" in message
+
+    def test_reference_interpreter_keeps_zero_division(self):
+        with pytest.raises(ZeroDivisionError):
+            interpret(analyze(parse_module(_QUOTIENT)), self.ITEMS[1])
+
+    def _check(self, program, batch):
+        assert [f.index for f in batch.failures] == [1]
+        failure = batch.failures[0]
+        assert failure.error_type == "CellDivisionError"
+        assert failure.attempts == 1  # fatal: never retried
+        assert batch.retries == 0
+        assert batch.results[1] is None
+        for index in (0, 2):
+            expected = simulate(program, self.ITEMS[index]).outputs["z"]
+            got = batch.results[index].outputs["z"]
+            assert got.tobytes() == expected.tobytes()
+
+    def test_per_item_path(self, program):
+        from repro.exec import BatchRunner
+        from repro.faults import InjectionPlan
+
+        # Any injection plan, even an empty one, keeps the batch on the
+        # per-item interpreter.
+        runner = BatchRunner(program, faults=InjectionPlan(), max_retries=2)
+        self._check(program, runner.run(self.ITEMS))
+
+    def test_lane_path_falls_back_per_item(self, program):
+        from repro import obs
+        from repro.exec import BatchRunner
+
+        with obs.collecting() as telemetry:
+            batch = BatchRunner(program, max_retries=2).run(self.ITEMS)
+        self._check(program, batch)
+        assert telemetry.counters["exec.batch.lane_fallbacks"] == 1
+        assert "exec.batch.lane_items" not in telemetry.counters
