@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from ..ir.dag import OpKind, QueueRef
 from ..ir.tree import ProgramTree
 from ..lang.ast import Channel, Direction
@@ -74,85 +72,109 @@ def _receive_queue_for_send(queue: QueueRef) -> QueueRef:
     return QueueRef(Direction.RIGHT, queue.channel)
 
 
+def _strong_components(succ: list[list[int]]) -> list[int]:
+    """The strongly connected component of every node of the graph
+    ``succ`` (node -> successors), by an iterative Tarjan search."""
+    index = [-1] * len(succ)
+    low = [0] * len(succ)
+    component = [-1] * len(succ)
+    stack: list[int] = []
+    counter = n_components = 0
+    for root in range(len(succ)):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, successors = work[-1]
+            for w in successors:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if component[w] < 0 and index[w] < low[v]:
+                    low[v] = index[w]  # w is still on the stack
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        component[w] = n_components
+                        if w == v:
+                            break
+                    n_components += 1
+    return component
+
+
 def analyze_communication(tree: ProgramTree) -> CommReport:
     """Build the communication graph of a lowered cell program and
-    classify its cycles."""
-    graph = nx.DiGraph()
-    sends: list[tuple[str, QueueRef]] = []
-    receives: dict[QueueRef, list[str]] = {}
-    # Global (conservative) scalar/array flow endpoints.
-    scalar_writes: dict[str, list[str]] = {}
-    scalar_reads: dict[str, list[str]] = {}
-    array_stores: dict[str, list[str]] = {}
-    array_loads: dict[str, list[str]] = {}
+    classify its cycles: a communication edge lies on a cycle iff both
+    of its ends are in one strongly connected component."""
+    succ: list[list[int]] = []
+    sends: list[tuple[int, QueueRef]] = []
+    receives: dict[QueueRef, list[int]] = {}
+    # Global (conservative) scalar/array flow endpoints, keyed by
+    # ("scalar", name) or ("array", name).
+    writers: dict[tuple[str, str], list[int]] = {}
+    readers: dict[tuple[str, str], list[int]] = {}
 
     for block in tree.blocks():
-        dag = block.dag
-        alive = {node.node_id for node in dag.live_nodes()}
-        for node_id in alive:
-            node = dag.nodes[node_id]
-            name = f"b{block.block_id}.n{node_id}"
-            graph.add_node(name)
+        live = block.dag.live_nodes()
+        ids = {node.node_id: len(succ) + k for k, node in enumerate(live)}
+        succ.extend([] for _ in live)
+        for node in live:
+            v = ids[node.node_id]
             for operand in node.operands:
-                if operand in alive:
-                    graph.add_edge(f"b{block.block_id}.n{operand}", name)
+                if operand in ids:
+                    succ[ids[operand]].append(v)
             if node.op is OpKind.SEND:
-                sends.append((name, node.attr))
+                sends.append((v, node.attr))
             elif node.op is OpKind.RECV:
-                receives.setdefault(node.attr, []).append(name)
+                receives.setdefault(node.attr, []).append(v)
             elif node.op is OpKind.WRITE:
-                scalar_writes.setdefault(node.attr, []).append(name)
+                writers.setdefault(("scalar", node.attr), []).append(v)
             elif node.op is OpKind.READ:
-                scalar_reads.setdefault(node.attr, []).append(name)
+                readers.setdefault(("scalar", node.attr), []).append(v)
             elif node.op is OpKind.STORE:
-                array_stores.setdefault(node.attr.array, []).append(name)
+                writers.setdefault(("array", node.attr.array), []).append(v)
             elif node.op is OpKind.LOAD:
-                array_loads.setdefault(node.attr.array, []).append(name)
-        for earlier, later in dag.order_edges:
-            if earlier in alive and later in alive:
-                graph.add_edge(
-                    f"b{block.block_id}.n{earlier}", f"b{block.block_id}.n{later}"
-                )
+                readers.setdefault(("array", node.attr.array), []).append(v)
+        for earlier, later in block.dag.order_edges:
+            if earlier in ids and later in ids:
+                succ[ids[earlier]].append(ids[later])
 
     # Cross-block value flow (conservative: any write reaches any read).
-    for var, writers in scalar_writes.items():
-        for writer in writers:
-            for reader in scalar_reads.get(var, []):
-                graph.add_edge(writer, reader)
-    for array, stores in array_stores.items():
-        for store in stores:
-            for load in array_loads.get(array, []):
-                graph.add_edge(store, load)
+    for key, sources in writers.items():
+        sinks = readers.get(key, [])
+        for source in sources:
+            succ[source].extend(sinks)
 
-    # Communication edges, labelled by the direction the data travels.
-    comm_label: dict[tuple[str, str], str] = {}
-    for send_name, queue in sends:
-        label = "right" if queue.direction is Direction.RIGHT else "left"
-        for recv_name in receives.get(_receive_queue_for_send(queue), []):
-            graph.add_edge(send_name, recv_name)
-            comm_label[(send_name, recv_name)] = label
+    # Communication edges, with whether the data travels right.
+    comm_edges: list[tuple[int, int, bool]] = []
+    for send, queue in sends:
+        rightward = queue.direction is Direction.RIGHT
+        for recv in receives.get(_receive_queue_for_send(queue), []):
+            succ[send].append(recv)
+            comm_edges.append((send, recv, rightward))
 
-    has_right = False
-    has_left = False
-    for component in nx.strongly_connected_components(graph):
-        if len(component) < 2:
-            node = next(iter(component))
-            if not graph.has_edge(node, node):
-                continue
-        for u, v in graph.edges(component):
-            if v not in component:
-                continue
-            label = comm_label.get((u, v))
-            if label == "right":
-                has_right = True
-            elif label == "left":
-                has_left = True
+    component = _strong_components(succ)
+    on_cycle = {
+        rightward
+        for send, recv, rightward in comm_edges
+        if component[send] == component[recv]
+    }
 
     queues_sent = {queue for _, queue in sends}
     queues_received = set(receives)
     return CommReport(
-        has_right_cycles=has_right,
-        has_left_cycles=has_left,
+        has_right_cycles=True in on_cycle,
+        has_left_cycles=False in on_cycle,
         sends_right=any(q.direction is Direction.RIGHT for q in queues_sent),
         sends_left=any(q.direction is Direction.LEFT for q in queues_sent),
         receives_from_left=any(

@@ -156,13 +156,14 @@ def compile_w2(
         analyzed = analyze(module)
     if unroll == "auto":
         with obs.span("driver.choose-unroll"):
-            unroll = _choose_unroll_factor(analyzed, config)
+            unroll, ir, cell_code = _choose_unroll_factor(
+                analyzed, config, local_opt
+            )
         obs.counter("driver.unroll_factor", unroll)
-    del_local = not local_opt
-
-    ir, cell_code = _generate_with_demotion(
-        analyzed, config, unroll, local_opt=not del_local
-    )
+    else:
+        ir, cell_code = _generate_with_demotion(
+            analyzed, config, unroll, local_opt
+        )
 
     with obs.span("analysis.comm"):
         comm = analyze_communication(ir.tree)
@@ -177,7 +178,7 @@ def compile_w2(
         with obs.span("driver.mirror"):
             analyzed = analyze(mirror_module(module))
             ir, cell_code = _generate_with_demotion(
-                analyzed, config, unroll, local_opt=not del_local
+                analyzed, config, unroll, local_opt
             )
             comm = analyze_communication(ir.tree)
         mirrored = True
@@ -280,19 +281,27 @@ def _verify_compiled(program: CompiledProgram, obs) -> None:
         raise VerificationError(report)
 
 
-def _choose_unroll_factor(analyzed: AnalyzedModule, config: WarpConfig) -> int:
+def _choose_unroll_factor(
+    analyzed: AnalyzedModule, config: WarpConfig, local_opt: bool
+) -> tuple[int, CellProgramIR, CellCode]:
     """Pick the unroll factor with the fastest predicted cell program
-    (schedules are static, so prediction is exact)."""
-    best_factor, best_cycles = 1, None
+    (schedules are static, so prediction is exact) and return it with
+    its IR and cell code; ties go to the smaller factor.  When no factor
+    compiles, factor 1's error propagates."""
+    candidates: list[tuple[int, CellProgramIR, CellCode]] = []
+    errors: list[CompilationError] = []
     for factor in (1, 2, 4, 8):
         try:
-            _ir, code = _generate_with_demotion(analyzed, config, factor)
-        except CompilationError:
+            ir, code = _generate_with_demotion(
+                analyzed, config, factor, local_opt
+            )
+        except CompilationError as error:
+            errors.append(error)
             continue
-        cycles = code.total_cycles
-        if best_cycles is None or cycles < best_cycles:
-            best_factor, best_cycles = factor, cycles
-    return best_factor
+        candidates.append((factor, ir, code))
+    if not candidates:
+        raise errors[0]
+    return min(candidates, key=lambda c: (c[2].total_cycles, c[0]))
 
 
 def _generate_with_demotion(

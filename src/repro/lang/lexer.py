@@ -1,170 +1,123 @@
-"""Hand-written lexer for W2.
+"""Regular-expression lexer for W2.
 
 W2 uses C-style ``/* ... */`` comments (see Figure 4-1 of the paper).
-Comments do not nest.  The lexer is a straightforward single-pass scanner
-producing a list of :class:`~repro.lang.tokens.Token`.
+Comments do not nest.  One compiled master pattern, driven by
+:meth:`re.Pattern.finditer`, matches every token, blank and comment in a
+single pass; every match takes the blanks after it, and the last
+alternative matches any character, so the matches tile the source and a
+character no token starts with becomes a :class:`LexError`.
+
+Identifiers start with a letter (``str.isalpha``) or ``_`` and continue
+with ``\\w`` characters (exactly ``str.isalnum`` or ``_``); numbers are
+built from ``str.isdigit`` characters.  For a non-ASCII source the
+character classes gain the source's own non-ASCII letters and digits,
+classified by those same ``str`` predicates.
 """
 
 from __future__ import annotations
 
+import functools
+import re
+
 from .errors import LexError, SourceLocation
 from .tokens import KEYWORDS, Token, TokenKind
 
-_SINGLE_CHAR_TOKENS = {
+_OPERATORS = {
     "(": TokenKind.LPAREN,
     ")": TokenKind.RPAREN,
     "[": TokenKind.LBRACKET,
     "]": TokenKind.RBRACKET,
     ",": TokenKind.COMMA,
     ";": TokenKind.SEMICOLON,
+    ":": TokenKind.COLON,
+    ":=": TokenKind.ASSIGN,
     "+": TokenKind.PLUS,
     "-": TokenKind.MINUS,
     "*": TokenKind.STAR,
     "/": TokenKind.SLASH,
     "=": TokenKind.EQ,
+    "<>": TokenKind.NE,
+    "<": TokenKind.LT,
+    "<=": TokenKind.LE,
+    ">": TokenKind.GT,
+    ">=": TokenKind.GE,
 }
 
+_LITERALS = {"int": TokenKind.INT_LITERAL, "float": TokenKind.FLOAT_LITERAL}
 
-class Lexer:
-    """Tokenise a W2 source string.
+# The named-tuple constructors without the Python-level ``__new__`` of
+# ``Token(...)``: the lexer builds a location and a token per token.
+_token = functools.partial(tuple.__new__, Token)
+_location = functools.partial(tuple.__new__, SourceLocation)
 
-    Use :func:`tokenize` for the common case; the class exists so that the
-    scanning state (position, line, column) is explicit and testable.
-    """
 
-    def __init__(self, source: str):
-        self._source = source
-        self._pos = 0
-        self._line = 1
-        self._column = 1
+@functools.lru_cache(maxsize=64)
+def _master_pattern(letters: str = "", digits: str = "") -> re.Pattern[str]:
+    """The master pattern; ``letters`` and ``digits`` extend the ASCII
+    identifier-start and digit classes."""
+    digit = f"[0-9{digits}]"
+    return re.compile(
+        rf"""
+        (?:
+          (?P<word>[A-Za-z_{letters}]\w*)
+        | (?P<comment>/\*.*?\*/)
+        | (?P<open_comment>/\*)
+        | (?P<op>:=|<=|<>|>=|[()\[\],;:+\-*/=<>])
+        | (?P<float>(?:{digit}+\.{digit}*|\.{digit}+)(?:[eE][+-]?{digit}+)?
+                   |{digit}+[eE][+-]?{digit}+)
+        | (?P<int>{digit}+)
+        | (?P<newline>\n)
+        | (?P<blank>[ \t\r])
+        | (?P<stray>.)
+        )[ \t\r]*
+        """,
+        re.VERBOSE | re.DOTALL,
+    )
 
-    def tokenize(self) -> list[Token]:
-        """Scan the whole input and return its tokens, ending with EOF."""
-        tokens: list[Token] = []
-        while True:
-            token = self._next_token()
-            tokens.append(token)
-            if token.kind is TokenKind.EOF:
-                return tokens
 
-    # Internal helpers ---------------------------------------------------
-
-    def _location(self) -> SourceLocation:
-        return SourceLocation(self._line, self._column)
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self._pos + offset
-        if index < len(self._source):
-            return self._source[index]
-        return ""
-
-    def _advance(self) -> str:
-        char = self._source[self._pos]
-        self._pos += 1
-        if char == "\n":
-            self._line += 1
-            self._column = 1
-        else:
-            self._column += 1
-        return char
-
-    def _skip_whitespace_and_comments(self) -> None:
-        while self._pos < len(self._source):
-            char = self._peek()
-            if char in " \t\r\n":
-                self._advance()
-            elif char == "/" and self._peek(1) == "*":
-                self._skip_comment()
-            else:
-                return
-
-    def _skip_comment(self) -> None:
-        start = self._location()
-        self._advance()  # '/'
-        self._advance()  # '*'
-        while self._pos < len(self._source):
-            if self._peek() == "*" and self._peek(1) == "/":
-                self._advance()
-                self._advance()
-                return
-            self._advance()
-        raise LexError("unterminated comment", start)
-
-    def _next_token(self) -> Token:
-        self._skip_whitespace_and_comments()
-        location = self._location()
-        if self._pos >= len(self._source):
-            return Token(TokenKind.EOF, "", location)
-
-        char = self._peek()
-        if char.isalpha() or char == "_":
-            return self._scan_word(location)
-        if char.isdigit():
-            return self._scan_number(location)
-        if char == ".":
-            if self._peek(1).isdigit():
-                return self._scan_number(location)
-            raise LexError("unexpected '.'", location)
-        if char == ":":
-            self._advance()
-            if self._peek() == "=":
-                self._advance()
-                return Token(TokenKind.ASSIGN, ":=", location)
-            return Token(TokenKind.COLON, ":", location)
-        if char == "<":
-            self._advance()
-            if self._peek() == "=":
-                self._advance()
-                return Token(TokenKind.LE, "<=", location)
-            if self._peek() == ">":
-                self._advance()
-                return Token(TokenKind.NE, "<>", location)
-            return Token(TokenKind.LT, "<", location)
-        if char == ">":
-            self._advance()
-            if self._peek() == "=":
-                self._advance()
-                return Token(TokenKind.GE, ">=", location)
-            return Token(TokenKind.GT, ">", location)
-        if char in _SINGLE_CHAR_TOKENS:
-            self._advance()
-            return Token(_SINGLE_CHAR_TOKENS[char], char, location)
-        raise LexError(f"unexpected character {char!r}", location)
-
-    def _scan_word(self, location: SourceLocation) -> Token:
-        chars: list[str] = []
-        while self._peek().isalnum() or self._peek() == "_":
-            chars.append(self._advance())
-        text = "".join(chars)
-        kind = KEYWORDS.get(text, TokenKind.IDENT)
-        return Token(kind, text, location)
-
-    def _scan_number(self, location: SourceLocation) -> Token:
-        chars: list[str] = []
-        is_float = False
-        while self._peek().isdigit():
-            chars.append(self._advance())
-        if self._peek() == ".":
-            is_float = True
-            chars.append(self._advance())
-            while self._peek().isdigit():
-                chars.append(self._advance())
-        if self._peek() in "eE":
-            next_char = self._peek(1)
-            after_sign = self._peek(2)
-            if next_char.isdigit() or (next_char in "+-" and after_sign.isdigit()):
-                is_float = True
-                chars.append(self._advance())  # e/E
-                if self._peek() in "+-":
-                    chars.append(self._advance())
-                while self._peek().isdigit():
-                    chars.append(self._advance())
-        text = "".join(chars)
-        if is_float:
-            return Token(TokenKind.FLOAT_LITERAL, text, location)
-        return Token(TokenKind.INT_LITERAL, text, location)
+def _pattern_for(source: str) -> re.Pattern[str]:
+    if source.isascii():
+        return _master_pattern()
+    extra = sorted({char for char in source if not char.isascii()})
+    return _master_pattern(
+        "".join(char for char in extra if char.isalpha()),
+        "".join(char for char in extra if char.isdigit()),
+    )
 
 
 def tokenize(source: str) -> list[Token]:
     """Tokenise ``source`` and return its tokens (final token is EOF)."""
-    return Lexer(source).tokenize()
+    tokens: list[Token] = []
+    line, line_start = 1, 0
+    for match in _pattern_for(source).finditer(source):
+        group = match.lastgroup
+        start = match.start()
+        if group == "newline":
+            line += 1
+            line_start = start + 1
+            continue
+        if group == "blank":  # only at the start: blanks trail each match
+            continue
+        text = match[group]
+        location = _location((line, start - line_start + 1))
+        if group == "word":
+            kind = KEYWORDS.get(text, TokenKind.IDENT)
+            tokens.append(_token((kind, text, location)))
+        elif group == "op":
+            tokens.append(_token((_OPERATORS[text], text, location)))
+        elif group == "comment":
+            last_newline = text.rfind("\n")
+            if last_newline >= 0:
+                line += text.count("\n")
+                line_start = start + last_newline + 1
+        elif group == "open_comment":
+            raise LexError("unterminated comment", location)
+        elif group == "stray":
+            if text == ".":
+                raise LexError("unexpected '.'", location)
+            raise LexError(f"unexpected character {text!r}", location)
+        else:
+            tokens.append(_token((_LITERALS[group], text, location)))
+    location = SourceLocation(line, len(source) - line_start + 1)
+    tokens.append(Token(TokenKind.EOF, "", location))
+    return tokens

@@ -9,7 +9,7 @@ primitives ``send`` and ``receive``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import SourceLocation
 
@@ -97,8 +97,7 @@ KEYWORDS: dict[str, TokenKind] = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """A single lexical token with its spelling and source location."""
 
     kind: TokenKind

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import signal
+from pathlib import Path
 
 # Every compile in the test suite runs the independent schedule verifier
 # at full strength unless a test overrides the level explicitly.
@@ -14,6 +16,8 @@ import pytest
 
 from repro.compiler import compile_w2
 from repro.programs import (
+    bidirectional_cycle,
+    bidirectional_exchange,
     binop,
     colorseg,
     conv1d,
@@ -266,6 +270,39 @@ def _conv2d_ref(inputs, h, w):
             )
             y += k[i, j] * shifted
     return {"y": y}
+
+
+def example_w2_sources() -> list[tuple[str, str]]:
+    """(name, W2 source) for every source literal under ``examples/``."""
+    examples = Path(__file__).resolve().parent.parent / "examples"
+    sources = []
+    for path in sorted(examples.glob("*.py")):
+        text = path.read_text()
+        if "\nSOURCE = " not in text:
+            continue
+        spec = importlib.util.spec_from_file_location(f"example_{path.stem}", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sources.append((path.stem, module.SOURCE))
+    return sources
+
+
+def compilable_w2_sources() -> list[tuple[str, str]]:
+    """(name, W2 source) for every bundled program of the small suite
+    and every ``examples/`` source: all of them compile."""
+    suite = small_program_suite(np.random.default_rng(0))
+    return [(name, source) for name, source, _inputs, _ref in suite] + [
+        (f"examples/{name}", source) for name, source in example_w2_sources()
+    ]
+
+
+def all_w2_sources() -> list[tuple[str, str]]:
+    """:func:`compilable_w2_sources` plus the two Figure 5-1 programs,
+    which parse and lower but are rejected as bidirectional."""
+    return compilable_w2_sources() + [
+        ("bidirectional_exchange", bidirectional_exchange()),
+        ("bidirectional_cycle", bidirectional_cycle()),
+    ]
 
 
 @pytest.fixture(scope="session")

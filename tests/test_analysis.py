@@ -1,12 +1,17 @@
 """Tests for global flow summaries and communication-cycle analysis."""
 
+from collections import deque
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import (
     analyze_communication,
     analyze_global_flow,
     eliminate_dead_writes,
 )
+from repro.analysis.comm_graph import _strong_components
 from repro.ir import build_ir
 from repro.ir.dag import OpKind
 from repro.lang import analyze, parse_module
@@ -133,3 +138,56 @@ end
         report = analyze_communication(ir.tree)
         assert not report.has_right_cycles
         assert not report.has_left_cycles
+
+
+@st.composite
+def labelled_digraphs(draw):
+    """(node count, [(u, v, travels_right)]): self-loops and parallel
+    edges included."""
+    n = draw(st.integers(1, 8))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node, st.booleans()), max_size=24))
+    return n, edges
+
+
+def _reaches(succ, start, goal):
+    """Brute force: is there a path of one or more edges start -> goal?"""
+    seen, frontier = set(), deque(succ[start])
+    while frontier:
+        node = frontier.popleft()
+        if node == goal:
+            return True
+        if node not in seen:
+            seen.add(node)
+            frontier.extend(succ[node])
+    return False
+
+
+class TestStrongComponents:
+    """The iterative Tarjan search behind the cycle classification."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(labelled_digraphs())
+    def test_same_component_iff_edge_on_cycle(self, graph):
+        n, edges = graph
+        succ = [[] for _ in range(n)]
+        for u, v, _rightward in edges:
+            succ[u].append(v)
+        component = _strong_components(succ)
+        for u, v, _rightward in edges:
+            assert (component[u] == component[v]) == _reaches(succ, v, u)
+        on_cycle = {r for u, v, r in edges if component[u] == component[v]}
+        brute = {r for u, v, r in edges if _reaches(succ, v, u)}
+        assert on_cycle == brute
+        for a in range(n):
+            for b in range(n):
+                mutual = a == b or (
+                    _reaches(succ, a, b) and _reaches(succ, b, a)
+                )
+                assert (component[a] == component[b]) == mutual
+
+    def test_deep_chain_is_iterative(self):
+        """A 20k-node cycle would overflow a recursive search."""
+        n = 20_000
+        succ = [[(k + 1) % n] for k in range(n)]
+        assert set(_strong_components(succ)) == {0}

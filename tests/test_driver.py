@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 
+from repro import obs
+from repro.cellcodegen.listing import format_cell_code
 from repro.compiler import (
     compile_w2,
     decomposition_report,
+    driver,
     format_metrics_table,
 )
 from repro.config import CellConfig, IUConfig, WarpConfig
-from repro.errors import MappingError, QueueOverflowError
+from repro.errors import CompilationError, MappingError, QueueOverflowError
 from repro.machine import simulate
 from repro.programs import (
     TABLE_7_1_PROGRAMS,
@@ -19,6 +22,8 @@ from repro.programs import (
     passthrough,
     polynomial,
 )
+
+from conftest import compilable_w2_sources
 
 
 class TestMappability:
@@ -129,3 +134,42 @@ class TestQueueOverflowPolicy:
         config = WarpConfig(queue_depth=4096)
         program = compile_w2(polynomial(30, 10), config=config)
         assert program.buffers
+
+
+class TestAutoUnrollSearch:
+    """``unroll="auto"`` compiles each candidate factor once, with the
+    caller's ``local_opt`` flag, and keeps the winner's code."""
+
+    @pytest.mark.parametrize("local_opt", [True, False], ids=["opt", "noopt"])
+    @pytest.mark.parametrize(
+        "source", [s for _, s in compilable_w2_sources()],
+        ids=[name for name, _ in compilable_w2_sources()],
+    )
+    def test_auto_is_brute_force_argmin(self, source, local_opt):
+        cycles = {}
+        for factor in (1, 2, 4, 8):
+            try:
+                program = compile_w2(source, unroll=factor, local_opt=local_opt)
+            except CompilationError:
+                continue
+            cycles[factor] = program.cell_code.total_cycles
+        expected = min(cycles, key=lambda factor: (cycles[factor], factor))
+        with obs.collecting() as telemetry:
+            auto = compile_w2(source, unroll="auto", local_opt=local_opt)
+        assert telemetry.counters["driver.unroll_factor"] == expected
+        fixed = compile_w2(source, unroll=expected, local_opt=local_opt)
+        assert format_cell_code(auto.cell_code) == format_cell_code(
+            fixed.cell_code
+        )
+
+    def test_each_candidate_generated_once(self, monkeypatch):
+        calls = []
+        generate = driver._generate_with_demotion
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return generate(*args, **kwargs)
+
+        monkeypatch.setattr(driver, "_generate_with_demotion", counting)
+        compile_w2(polynomial(8, 3), unroll="auto")
+        assert calls == [1, 2, 4, 8]

@@ -4,16 +4,21 @@ Fixed small programs are compiled and their
 :func:`repro.cellcodegen.listing.format_cell_code` output compared
 *character for character* against ``tests/goldens/*.listing``.  Any
 change to scheduling, register allocation or the listing format shows
-up as a diff here.  Two of them are also run on seeded inputs and three
-renderings of the run are compared byte for byte: the metrics JSON
-(``*.metrics.json``), the Chrome trace events (``*.trace.jsonl``, one
-event per line) and the Figure 4-2 two-cell trace (``*.fig4_2.txt``).
+up as a diff here.  Two front-half goldens cover every bundled program
+and ``examples/`` source: the lexer's token stream (``tokens.txt``) and
+the communication-cycle report at several unroll factors, mirrored and
+not (``comm_reports.json``).  Two of the fixed programs are also run
+on seeded inputs and three renderings of the run are compared byte for
+byte: the metrics JSON (``*.metrics.json``), the Chrome trace events
+(``*.trace.jsonl``, one event per line) and the Figure 4-2 two-cell
+trace (``*.fig4_2.txt``).
 Run ``pytest --update-goldens`` to accept an intentional change and
 review the new files in the commit.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import difflib
 import json
 from pathlib import Path
@@ -21,12 +26,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.analysis import analyze_communication, eliminate_dead_writes
 from repro.cellcodegen.listing import format_cell_code
 from repro.compiler import compile_w2, predict_performance
+from repro.compiler.mirror import mirror_module
+from repro.ir import build_ir
+from repro.lang import analyze, parse_module, tokenize
 from repro.machine import MachineRecorder, simulate
 from repro.machine.trace import format_two_cell_trace
 from repro.obs import metrics_to_json, simulation_trace_events
 from repro.programs import conv1d, conv2d, passthrough, polynomial
+
+from conftest import all_w2_sources
 
 GOLDENS_DIR = Path(__file__).resolve().parent / "goldens"
 
@@ -51,6 +62,12 @@ GOLDEN_RUNS = {
 
 #: Suffixes of the three renderings of one golden run.
 RUN_RENDERINGS = ("metrics.json", "trace.jsonl", "fig4_2.txt")
+
+#: Goldens over every bundled program and ``examples/`` source.
+SOURCE_GOLDENS = ("tokens.txt", "comm_reports.json")
+
+#: Unroll factors of the communication-report golden.
+COMM_UNROLLS = (1, 2, 4)
 
 
 def _check_golden(filename: str, text: str, update_goldens: bool) -> None:
@@ -117,6 +134,39 @@ def test_run_matches_golden(name, update_goldens):
         _check_golden(f"{name}.{suffix}", text, update_goldens)
 
 
+def test_token_stream_matches_golden(update_goldens):
+    """The lexer's ``(kind, text, line, column)`` stream, token for
+    token."""
+    lines = []
+    for name, source in all_w2_sources():
+        lines.append(f"== {name}")
+        for token in tokenize(source):
+            location = token.location
+            lines.append(
+                f"{location.line}:{location.column} {token.kind.name} "
+                f"{token.text!r}"
+            )
+    _check_golden("tokens.txt", "\n".join(lines) + "\n", update_goldens)
+
+
+def test_comm_reports_match_golden(update_goldens):
+    """Every :class:`~repro.analysis.CommReport` field of each source's
+    lowered IR, as the driver builds it, with and without mirroring."""
+    reports = {}
+    for name, source in all_w2_sources():
+        module = parse_module(source)
+        for mirrored in (False, True):
+            analyzed = analyze(mirror_module(module) if mirrored else module)
+            for unroll in COMM_UNROLLS:
+                ir = build_ir(analyzed, unroll_factor=unroll)
+                eliminate_dead_writes(ir.tree)
+                report = analyze_communication(ir.tree)
+                key = f"{name} unroll={unroll} mirrored={mirrored}"
+                reports[key] = dataclasses.asdict(report)
+    text = json.dumps(reports, indent=1) + "\n"
+    _check_golden("comm_reports.json", text, update_goldens)
+
+
 def test_goldens_directory_has_no_strays():
     """Every golden on disk corresponds to a case above (catches
     renamed cases leaving stale files behind)."""
@@ -124,6 +174,6 @@ def test_goldens_directory_has_no_strays():
         f"{name}.{suffix}"
         for name in GOLDEN_RUNS
         for suffix in RUN_RENDERINGS
-    }
+    } | set(SOURCE_GOLDENS)
     actual = {path.name for path in GOLDENS_DIR.iterdir()}
     assert actual == expected

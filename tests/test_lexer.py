@@ -1,8 +1,13 @@
 """Unit tests for the W2 lexer."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.lang import LexError, TokenKind, tokenize
+from repro.lang.tokens import KEYWORDS
+
+from oracles.seed_lexer import tokenize as seed_tokenize
 
 
 def kinds(source):
@@ -134,3 +139,60 @@ class TestErrors:
     def test_lone_dot(self):
         with pytest.raises(LexError):
             tokenize("a . b")
+
+
+#: Pieces of W2 text: every token spelling, the characters numbers and
+#: comments are built from, blanks, and non-ASCII characters on each
+#: side of the ``str.isalpha``/``isdigit``/``isalnum`` boundaries.
+_PIECES = (
+    sorted(KEYWORDS)
+    + [":=", "<=", "<>", ">="]
+    + list("abxyzeE_0123456789.+-*/=<>:;,()[]# \t\r\n")
+    + ["/*", "*/", "1.", "1.e5", "12e+", "é", "²", "٣", "½", "\x0b"]
+)
+
+
+def _lex(tokenizer, source):
+    """Tokens as (kind, text, location), or the LexError's message and
+    location."""
+    try:
+        return [(t.kind, t.text, t.location) for t in tokenizer(source)]
+    except LexError as error:
+        return ("LexError", error.message, error.location)
+
+
+class TestSeedEquivalence:
+    """The regex lexer reproduces the seed's character-at-a-time scanner
+    (kept as a test oracle) token for token and error for error."""
+
+    @settings(max_examples=1500, deadline=None)
+    @given(st.lists(st.sampled_from(_PIECES), max_size=30).map("".join))
+    def test_matches_seed_lexer(self, source):
+        assert _lex(tokenize, source) == _lex(seed_tokenize, source)
+
+    @pytest.mark.parametrize(
+        "source, expected",
+        [
+            ("é", [(TokenKind.IDENT, "é")]),
+            ("x²", [(TokenKind.IDENT, "x²")]),
+            ("٣", [(TokenKind.INT_LITERAL, "٣")]),
+            ("1.", [(TokenKind.FLOAT_LITERAL, "1.")]),
+            ("1.e5", [(TokenKind.FLOAT_LITERAL, "1.e5")]),
+            (
+                "12e+",
+                [
+                    (TokenKind.INT_LITERAL, "12"),
+                    (TokenKind.IDENT, "e"),
+                    (TokenKind.PLUS, "+"),
+                ],
+            ),
+        ],
+    )
+    def test_unicode_and_number_edges(self, source, expected):
+        tokens = tokenize(source)[:-1]
+        assert [(t.kind, t.text) for t in tokens] == expected
+        assert _lex(tokenize, source) == _lex(seed_tokenize, source)
+
+    def test_vulgar_fraction_is_unexpected(self):
+        with pytest.raises(LexError, match="unexpected character '½'"):
+            tokenize("a ½")

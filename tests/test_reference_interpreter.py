@@ -4,9 +4,6 @@ source through both the cycle simulator and the interpreter, with
 bit-identical outputs (and the batched path bit-identical to one-shot,
 item for item)."""
 
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -16,6 +13,8 @@ from repro.exec import BatchRunner
 from repro.lang import analyze, parse_module
 from repro.machine import interpret, simulate
 from repro.programs import conv2d
+
+from conftest import example_w2_sources
 
 
 def run(source, inputs):
@@ -250,21 +249,6 @@ REASSOCIATED = {"conv2d"}
 REASSOCIATED_UNROLLED = REASSOCIATED | {"matmul", "fir_bank"}
 
 
-def _example_w2_sources() -> list[tuple[str, str]]:
-    """(name, W2 source) for every source literal under ``examples/``."""
-    examples = Path(__file__).resolve().parent.parent / "examples"
-    sources = []
-    for path in sorted(examples.glob("*.py")):
-        text = path.read_text()
-        if "\nSOURCE = " not in text:
-            continue
-        spec = importlib.util.spec_from_file_location(f"example_{path.stem}", path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        sources.append((path.stem, module.SOURCE))
-    return sources
-
-
 def _assert_outputs_equal(name, simulated, reference, reassociated=REASSOCIATED):
     """Simulator outputs vs interpreter outputs, bit-identical unless
     the program's arithmetic is reassociated by the optimiser."""
@@ -306,7 +290,7 @@ class TestDifferentialSweep:
             )
 
     def test_example_sources(self, rng):
-        cases = _example_w2_sources()
+        cases = example_w2_sources()
         assert cases, "examples/ should contribute at least one W2 source"
         for name, source in cases:
             program = compile_w2(source)
@@ -397,7 +381,7 @@ class TestBatchedMatchesOneShot:
     @staticmethod
     def _cases(program_suite):
         cases = [(name, source, inputs) for name, source, inputs, _ in program_suite]
-        for name, source in _example_w2_sources():
+        for name, source in example_w2_sources():
             host_arrays = compile_w2(source).ir.host_arrays
             cases.append((name, source, {
                 array: np.zeros(int(np.prod(dims)) if dims else 1)

@@ -521,3 +521,54 @@ class TestZeroDivisorFailsOneItem:
         self._check(program, batch)
         assert telemetry.counters["exec.batch.lane_fallbacks"] == 1
         assert "exec.batch.lane_items" not in telemetry.counters
+
+
+_WITHOUT_NETWORKX = """
+import sys
+
+sys.modules["networkx"] = None  # any `import networkx` now fails
+import numpy as np
+
+import repro
+from repro.programs import polynomial
+
+program = repro.compile_w2(polynomial(8, 3))
+inputs = {"z": np.linspace(-1.0, 1.0, 8), "c": np.array([1.0, -2.0, 0.5])}
+outputs = repro.simulate(program, inputs).outputs["results"]
+assert np.allclose(outputs, np.polyval(inputs["c"], inputs["z"])), outputs
+print("ok")
+"""
+
+
+class TestDeclaredDependenciesOnly:
+    """``import repro`` needed ``networkx`` (for the communication-cycle
+    analysis), which ``pyproject.toml`` does not declare, so the package
+    failed with ``ModuleNotFoundError`` where only ``numpy`` was
+    installed.  The analysis now has its own strongly-connected-component
+    search."""
+
+    def _run(self, code: str) -> subprocess.CompletedProcess:
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        return subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+
+    def test_compiles_and_runs_without_networkx(self):
+        completed = self._run(_WITHOUT_NETWORKX)
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "ok"
+
+    def test_import_does_not_load_networkx(self):
+        completed = self._run(
+            "import sys, repro; print('networkx' in sys.modules)"
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "False"
