@@ -395,22 +395,12 @@ def cmd_batch(args: argparse.Namespace) -> int:
     plan = _injection_plan(args)
     program, cache = _compile_from_args(args, faults=plan)
     input_sets = _batch_input_sets(args, program)
-    item_timeout = args.item_timeout
-    if item_timeout is None and plan is not None and plan.has_worker_faults:
-        item_timeout = 30.0  # an injected hang must not hang the batch
-    runner = BatchRunner(
-        program,
-        processes=args.processes,
-        faults=plan,
-        max_retries=args.max_retries,
-        item_timeout=item_timeout,
-    )
+    runner = BatchRunner(program, faults=plan, max_retries=args.max_retries)
     result = runner.run(input_sets)
     result.cache_event = cache.last_event if cache is not None else None
-    plural = "es" if result.processes != 1 else ""
     print(
         f"batch: {result.n_items} items through {program.module_name!r} "
-        f"on {program.n_cells} cells ({result.processes} process{plural})"
+        f"on {program.n_cells} cells"
     )
     if result.retries:
         print(f"    {result.retries} retr{'ies' if result.retries != 1 else 'y'}")
@@ -542,6 +532,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def unroll_arg(value: str):
+        return value if value == "auto" else int(value)
+
+    def add_unroll_option(p: argparse.ArgumentParser) -> None:
+        p.add_argument(
+            "--unroll", type=unroll_arg, default=1, metavar="N|auto"
+        )
+
     def add_cache_options(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--cache-dir",
@@ -557,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     compile_p = sub.add_parser("compile", help="compile a W2 module")
     compile_p.add_argument("program", help="W2 file or bundled program name")
-    compile_p.add_argument("--unroll", type=int, default=1)
+    add_unroll_option(compile_p)
     compile_p.add_argument(
         "--listing", action="store_true", help="print the cell microcode"
     )
@@ -566,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     timing_p = sub.add_parser("timing", help="skew and buffer analysis")
     timing_p.add_argument("program")
-    timing_p.add_argument("--unroll", type=int, default=1)
+    add_unroll_option(timing_p)
     add_cache_options(timing_p)
     timing_p.set_defaults(func=cmd_timing)
 
@@ -577,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="SPEC",
             help="inject a deterministic fault: kind:key=value,... "
             "(kinds: drop_send, dup_send, flip_bits, stall_cell, "
-            "shrink_queue, corrupt_cache, worker_kill, worker_hang) or "
+            "shrink_queue, corrupt_cache) or "
             "random:seed=N[,count=K]; repeatable — see docs/robustness.md",
         )
         p.add_argument(
@@ -590,7 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     def add_simulation_options(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--unroll", type=int, default=1)
+        add_unroll_option(p)
         add_cache_options(p)
         p.add_argument(
             "--input",
@@ -647,7 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
         "reused machine",
     )
     batch_p.add_argument("program")
-    batch_p.add_argument("--unroll", type=int, default=1)
+    add_unroll_option(batch_p)
     batch_p.add_argument(
         "--items", type=int, default=1, metavar="N",
         help="replicate the --input set N times (ignored with --inputs)",
@@ -665,10 +663,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="all items at once: every array carries a leading item axis",
     )
     batch_p.add_argument(
-        "--processes", type=int, default=0, metavar="N",
-        help="fan items out over N worker processes (default: in-process)",
-    )
-    batch_p.add_argument(
         "--output",
         help="write outputs stacked on a leading item axis to an .npz file",
     )
@@ -678,20 +672,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="write item-0 machine metrics plus cache/batch aggregates "
         "as JSON",
     )
-    batch_p.add_argument(
-        "--item-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-item wall-time bound in pool mode (a hung worker's "
-        "item fails with ItemTimeoutError instead of hanging the batch)",
-    )
     add_cache_options(batch_p)
     add_fault_options(batch_p)
     batch_p.set_defaults(func=cmd_batch)
-
-    def unroll_arg(value: str):
-        return value if value == "auto" else int(value)
 
     verify_p = sub.add_parser(
         "verify",
@@ -699,9 +682,7 @@ def build_parser() -> argparse.ArgumentParser:
         "from the emitted artifacts (exit 3 on any diagnostic)",
     )
     verify_p.add_argument("program")
-    verify_p.add_argument(
-        "--unroll", type=unroll_arg, default=1, metavar="N|auto"
-    )
+    add_unroll_option(verify_p)
     verify_p.add_argument(
         "--level",
         choices=("quick", "full"),
@@ -728,9 +709,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="compile + verify with a one-line verdict (exit 0/2/3)",
     )
     check_p.add_argument("program")
-    check_p.add_argument(
-        "--unroll", type=unroll_arg, default=1, metavar="N|auto"
-    )
+    add_unroll_option(check_p)
     add_cache_options(check_p)
     check_p.set_defaults(func=cmd_check)
 

@@ -80,6 +80,9 @@ class CompiledProgram:
     #: compiler mirrored it onto the canonical direction (the array is
     #: symmetric; cell 0 then denotes the physically-rightmost cell).
     mirrored: bool = False
+    #: The strongest verify level these artefacts have passed ("off"
+    #: when never verified); a cache hit asking for more re-verifies.
+    verified: str = "off"
 
     @property
     def module_name(self) -> str:
@@ -122,7 +125,9 @@ def compile_w2(
 
     ``cache`` consults a :class:`~repro.exec.CompileCache` before doing
     any work, keyed on the exact (source, config, flags) content hash;
-    a hit returns the cached artefact and skips every phase.  Telemetry
+    a hit returns the cached artefact and skips every phase, except
+    that a hit verified at a weaker level than ``config.verify`` asks
+    for is verified at that level first.  Telemetry
     records ``cache.hit`` / ``cache.miss`` (and ``cache.disk_hit``)
     counters either way.
 
@@ -145,6 +150,7 @@ def compile_w2(
             obs.counter("cache.hit")
             if cache.last_event == "disk-hit":
                 obs.counter("cache.disk_hit")
+            _verify_compiled(cached, obs, config.verify)
             return cached
         obs.counter("cache.miss")
     with obs.span("frontend.lex"):
@@ -250,21 +256,21 @@ def compile_w2(
         metrics=metrics,
         mirrored=mirrored,
     )
-    _verify_compiled(program, obs)
+    _verify_compiled(program, obs, config.verify)
     if cache is not None and key is not None:
         cache.put(key, program)
     return program
 
 
-def _verify_compiled(program: CompiledProgram, obs) -> None:
+def _verify_compiled(program: CompiledProgram, obs, level: str) -> None:
     """Run the independent schedule verifier over the finished artefacts
-    (level per ``WarpConfig.verify``); rejected programs never reach the
-    cache or the caller."""
+    at ``level`` unless they already passed it or a stronger one;
+    rejected programs never reach the cache or the caller."""
     from ..errors import VerificationError
-    from ..verify import resolve_level, verify_artifacts
+    from ..verify import LEVELS, resolve_level, verify_artifacts
 
-    level = resolve_level(program.config.verify)
-    if level == "off":
+    level = resolve_level(level)
+    if LEVELS.index(level) <= LEVELS.index(program.verified):
         return
     report = verify_artifacts(
         program.cell_code,
@@ -279,6 +285,7 @@ def _verify_compiled(program: CompiledProgram, obs) -> None:
     if not report.ok:
         obs.counter("verify.rejected")
         raise VerificationError(report)
+    program.verified = level
 
 
 def _choose_unroll_factor(

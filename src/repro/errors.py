@@ -95,20 +95,15 @@ class HostDataError(SimulationError):
 #
 # The runtime detection/recovery layer (:mod:`repro.faults`,
 # :mod:`repro.exec.batch`) classifies every failure it sees into one of
-# three families.  The classification drives the batch engine's retry
-# policy: transient faults are retried with backoff, fatal faults fail
-# the item immediately, and detected corruption is retried (the fault
-# that caused it may have been transient) but never silently returned.
+# two families.  The classification drives the batch engine's retry
+# policy: fatal faults fail the item immediately; every other
+# simulation error, detected corruption included, is retried with
+# backoff (the fault that caused it may have been attempt-scoped) but
+# never silently returned.
 
 
 class FaultError(SimulationError):
     """Base class for failures raised by the fault detection layer."""
-
-
-class TransientFault(FaultError):
-    """A failure that a retry may clear (a crashed or hung worker, an
-    injected transient fault).  The batch engine retries these up to
-    ``max_retries`` times with backoff."""
 
 
 class FatalFault(FaultError):
@@ -135,12 +130,3 @@ class CellDivisionError(FatalFault):
     """A cell's FDIV met a ±0.0 divisor.  The divisor comes from the
     item's data, so a retry of the same item fails the same way; the
     item fails and the rest of its batch completes."""
-
-
-class WorkerCrashError(TransientFault):
-    """A batch worker process died while running an item."""
-
-
-class ItemTimeoutError(TransientFault):
-    """A batch item exceeded its per-item timeout (a hung worker or a
-    runaway simulation)."""

@@ -13,10 +13,10 @@ gives the reproduction the same shape:
 * :mod:`repro.exec.batch` — :class:`BatchRunner`, which streams many
   input sets through one :class:`~repro.compiler.driver.CompiledProgram`
   on a reused :class:`~repro.machine.array.WarpMachine` (preallocated
-  execution plan, shared address schedule), optionally fanning items
-  out over a ``multiprocessing`` pool — with retry-with-backoff,
-  per-item timeouts and structured :class:`ItemFailure` records so a
-  failing item degrades the batch instead of crashing it.
+  execution plan, shared address schedule) — a clean batch as one lane
+  run, faulty items one by one with retry-with-backoff and structured
+  :class:`ItemFailure` records, so a failing item degrades the batch
+  instead of crashing it.
 """
 
 from .batch import BatchResult, BatchRunner, ItemFailure, run_batch

@@ -5,55 +5,42 @@ cost over repeated invocations (Section 3); :class:`BatchRunner` is the
 software analogue.  It keeps one :class:`~repro.machine.array.WarpMachine`
 alive so the static simulation state — skip-idle block plans, the IU
 address schedule, the host I/O sequences — is computed once and reused
-for every item, and can optionally fan items out over a
-``multiprocessing`` pool (each worker unpickles the program once and
-then streams its share of the items).
+for every item.
 
 Batched results are **bit-identical** to one-shot ``simulate`` calls,
 item for item: the runner changes where static state lives, never what
 the machine computes.  The differential tests lock this down.
 
-A clean serial batch (no injection plan, no pool) runs as **one** lane
-run (:meth:`~repro.machine.array.WarpMachine.run_many`): schedules are
+A clean batch (no injection plan) runs as **one** lane run
+(:meth:`~repro.machine.array.WarpMachine.run_many`): schedules are
 data-independent, so the interpreter walks the cycles once with a
 ``(batch,)`` value per register, memory word and queue entry, and every
 item's result shares that run's one read-only ``MachineMetrics``.  If
 the lane run raises anything — one item's oversized input or zero
 divisor fails the whole run — the runner reruns the batch item by item,
 which gives exactly the per-item failures, retries and errors described
-below.  Injected faults, pool workers and recorded runs always use the
-per-item interpreter.
+below.  Injected faults and recorded runs always use the per-item
+interpreter.
 
 Batches also *degrade gracefully*: an item that raises a
-:class:`~repro.errors.SimulationError` (or whose worker crashes or
-hangs) is retried up to ``max_retries`` times with exponential backoff,
-and an item that still fails yields a structured :class:`ItemFailure`
-record in ``BatchResult.failures`` — never a crashed batch, and never a
-silently wrong answer.  ``item_timeout`` bounds each pool item's wall
-time (a hung worker surfaces as
-:class:`~repro.errors.ItemTimeoutError`).  ``faults`` threads a
-deterministic :class:`~repro.faults.InjectionPlan` through every item
-and worker — see ``docs/robustness.md``.
+:class:`~repro.errors.SimulationError` is retried up to ``max_retries``
+times with exponential backoff (a :class:`~repro.errors.FatalFault`
+fails at once), and an item that still fails yields a structured
+:class:`ItemFailure` record in ``BatchResult.failures`` — never a
+crashed batch, and never a silently wrong answer.  ``faults`` threads a
+deterministic :class:`~repro.faults.InjectionPlan` through every item —
+see ``docs/robustness.md``.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import pickle
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..errors import (
-    FatalFault,
-    ItemTimeoutError,
-    SimulationError,
-    TransientFault,
-    WorkerCrashError,
-)
+from ..errors import FatalFault, SimulationError
 from ..machine.array import SimulationResult, WarpMachine
 from ..obs import get_telemetry
 
@@ -103,7 +90,6 @@ class BatchResult:
 
     results: list[SimulationResult | None]
     wall_seconds: float
-    processes: int = 1
     #: True when the compile that produced the program was a cache hit
     #: (filled in by callers that know; purely informational).
     cache_event: str | None = None
@@ -162,65 +148,16 @@ class BatchResult:
         return {name: self.outputs(name) for name in results[0].outputs}
 
 
-# Worker-process state: each pool worker holds its own machine, built
-# once from the pickled program shipped by the initializer, plus the
-# (optional) injection plan shipped as JSON.
-_worker_machine: WarpMachine | None = None
-_worker_plan: "InjectionPlan | None" = None
-
-
-def _init_worker(program_blob: bytes, plan_doc: dict | None = None) -> None:
-    global _worker_machine, _worker_plan
-    _worker_machine = WarpMachine(pickle.loads(program_blob))
-    if plan_doc is not None:
-        from ..faults.plan import InjectionPlan
-
-        _worker_plan = InjectionPlan.from_json(plan_doc)
-    else:
-        _worker_plan = None
-
-
-def _run_worker_item(task: tuple[int, int, InputSet]) -> SimulationResult:
-    index, attempt, inputs = task
-    assert _worker_machine is not None
-    injector = None
-    if _worker_plan is not None:
-        from ..faults.injector import FaultInjector
-
-        injector = FaultInjector(_worker_plan, item=index, attempt=attempt)
-        spec = injector.worker_action()
-        if spec is not None:
-            from ..faults.plan import FaultKind
-
-            if spec.kind is FaultKind.WORKER_KILL:
-                os._exit(13)  # die without cleanup, like a real crash
-            time.sleep(spec.seconds)  # hang; the driver's timeout reaps us
-    return _worker_machine.run(inputs, faults=injector)
-
-
-def _is_retryable(error: BaseException) -> bool:
-    """Transient faults and generic simulation errors are worth a
-    retry (an injected fault may be attempt-scoped, a worker may have
-    died); fatal faults are not."""
-    if isinstance(error, FatalFault):
-        return False
-    return isinstance(
-        error, (TransientFault, SimulationError, multiprocessing.TimeoutError)
-    )
-
-
 class BatchRunner:
-    """Stream many input sets through one compiled program.
+    """Stream many input sets through one compiled program, in process.
 
-    ``processes=0`` (the default) runs items sequentially on one reused
-    machine.  ``processes=N`` with N > 1 fans items out over a pool of
-    N workers; results still come back in item order.
+    Items run on one reused machine: a clean batch as one lane run,
+    a batch with an injection plan (or whose lane run raised) item by
+    item.  ``processes`` accepts only ``0`` (kept for callers that pass
+    it explicitly).
 
-    ``max_retries`` retries a failed item (transient faults, crashed or
-    hung workers) with exponential backoff starting at
-    ``retry_backoff`` seconds; ``item_timeout`` bounds each item's wall
-    time in pool mode (in-process runs cannot be preempted, so the
-    timeout applies to simulated hangs only).  Items that exhaust their
+    ``max_retries`` retries a failed item with exponential backoff
+    starting at ``retry_backoff`` seconds.  Items that exhaust their
     retries become :class:`ItemFailure` records, never exceptions.
     """
 
@@ -230,21 +167,16 @@ class BatchRunner:
         processes: int = 0,
         faults: "InjectionPlan | None" = None,
         max_retries: int = 0,
-        item_timeout: float | None = None,
         retry_backoff: float = 0.05,
     ):
-        if processes < 0:
-            raise ValueError("processes must be >= 0")
+        if processes != 0:
+            raise ValueError("processes must be 0: batches run in process")
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if item_timeout is not None and item_timeout <= 0:
-            raise ValueError("item_timeout must be positive")
         self._program = program
         self._machine = WarpMachine(program)
-        self.processes = processes
         self.faults = faults
         self.max_retries = max_retries
-        self.item_timeout = item_timeout
         self.retry_backoff = retry_backoff
 
     @property
@@ -258,13 +190,13 @@ class BatchRunner:
     def run(self, input_sets: Sequence[InputSet]) -> BatchResult:
         """Run every input set; results are in input order."""
         started = time.perf_counter()
+        results = None
+        if self.faults is None and input_sets:
+            results = self._run_lanes(input_sets)
+        failures: list[ItemFailure] = []
         retries = 0
-        if self.processes > 1 and len(input_sets) > 1:
-            results, failures, retries = self._run_pool(input_sets)
-            used = self.processes
-        else:
-            results, failures, retries = self._run_serial(input_sets)
-            used = 1
+        if results is None:
+            results, failures, retries = self._run_items(input_sets)
         wall = time.perf_counter() - started
         obs = get_telemetry()
         obs.counter("exec.batch.items", len(results))
@@ -277,7 +209,6 @@ class BatchRunner:
         return BatchResult(
             results=results,
             wall_seconds=wall,
-            processes=used,
             failures=failures,
             retries=retries,
         )
@@ -286,8 +217,6 @@ class BatchRunner:
         """One item on the reused machine (the batch fast path without
         the batch bookkeeping)."""
         return self._machine.run(inputs)
-
-    # Serial path ---------------------------------------------------------
 
     def _make_injector(self, index: int, attempt: int):
         if self.faults is None:
@@ -300,13 +229,10 @@ class BatchRunner:
         if self.retry_backoff > 0:
             time.sleep(min(self.retry_backoff * (2**attempt), _MAX_BACKOFF))
 
-    def _run_serial(
+    def _run_items(
         self, input_sets: Sequence[InputSet]
     ) -> tuple[list[SimulationResult | None], list[ItemFailure], int]:
-        if self.faults is None and input_sets:
-            lanes = self._run_lanes(input_sets)
-            if lanes is not None:
-                return lanes, [], 0
+        """Item by item, with retries: a fault stays in its item."""
         results: list[SimulationResult | None] = []
         failures: list[ItemFailure] = []
         retries = 0
@@ -316,18 +242,14 @@ class BatchRunner:
             while True:
                 injector = self._make_injector(index, attempt)
                 try:
-                    if injector is not None:
-                        self._simulate_worker_fault(injector)
                     results.append(
                         self._machine.run(inputs, faults=injector)
                     )
                     break
-                except Exception as error:
-                    if not isinstance(
-                        error, (SimulationError, multiprocessing.TimeoutError)
+                except SimulationError as error:
+                    if attempt < self.max_retries and not isinstance(
+                        error, FatalFault
                     ):
-                        raise  # programming errors keep their traceback
-                    if attempt < self.max_retries and _is_retryable(error):
                         attempt += 1
                         retries += 1
                         obs.counter("retry.count")
@@ -363,105 +285,12 @@ class BatchRunner:
         obs.counter("exec.batch.lane_items", len(results))
         return results
 
-    def _simulate_worker_fault(self, injector) -> None:
-        """In-process stand-ins for worker kill/hang faults, so serial
-        runs exercise the same plans deterministically."""
-        from ..faults.plan import FaultKind
-
-        spec = injector.worker_action()
-        if spec is None:
-            return
-        if spec.kind is FaultKind.WORKER_KILL:
-            raise WorkerCrashError(
-                "worker process died running this item (simulated "
-                "in-process: serial mode has no worker to kill)"
-            )
-        raise ItemTimeoutError(
-            f"item exceeded its timeout (simulated in-process: the "
-            f"injected hang of {spec.seconds}s is not slept serially)"
-        )
-
-    # Pool path -----------------------------------------------------------
-
-    def _run_pool(
-        self, input_sets: Sequence[InputSet]
-    ) -> tuple[list[SimulationResult | None], list[ItemFailure], int]:
-        blob = pickle.dumps(self._program, protocol=pickle.HIGHEST_PROTOCOL)
-        plan_doc = self.faults.to_json() if self.faults is not None else None
-        methods = multiprocessing.get_all_start_methods()
-        context = multiprocessing.get_context(
-            "fork" if "fork" in methods else None
-        )
-        results: list[SimulationResult | None] = [None] * len(input_sets)
-        failures: list[ItemFailure] = []
-        retries = 0
-        obs = get_telemetry()
-        with context.Pool(
-            processes=self.processes,
-            initializer=_init_worker,
-            initargs=(blob, plan_doc),
-        ) as pool:
-            pending = {
-                index: pool.apply_async(
-                    _run_worker_item, ((index, 0, inputs),)
-                )
-                for index, inputs in enumerate(input_sets)
-            }
-            attempts = dict.fromkeys(pending, 0)
-            for index, inputs in enumerate(input_sets):
-                while True:
-                    try:
-                        results[index] = pending[index].get(
-                            timeout=self.item_timeout
-                        )
-                        break
-                    except Exception as raw:
-                        error = self._classify_pool_error(raw)
-                        if not isinstance(
-                            error,
-                            (SimulationError, multiprocessing.TimeoutError),
-                        ):
-                            raise
-                        if attempts[index] < self.max_retries and _is_retryable(
-                            error
-                        ):
-                            attempts[index] += 1
-                            retries += 1
-                            obs.counter("retry.count")
-                            self._backoff(attempts[index])
-                            pending[index] = pool.apply_async(
-                                _run_worker_item,
-                                ((index, attempts[index], inputs),),
-                            )
-                            continue
-                        failures.append(
-                            ItemFailure(
-                                index=index,
-                                error_type=type(error).__name__,
-                                message=str(error),
-                                attempts=attempts[index] + 1,
-                            )
-                        )
-                        break
-        return results, failures, retries
-
-    def _classify_pool_error(self, raw: BaseException) -> BaseException:
-        """Map raw pool failures onto the fault taxonomy."""
-        if isinstance(raw, multiprocessing.TimeoutError):
-            timeout = self.item_timeout
-            return ItemTimeoutError(
-                f"no result within the {timeout:.3g}s item timeout — the "
-                "worker is hung, or was killed and its task lost"
-            )
-        return raw
-
 
 def run_batch(
     program: "CompiledProgram",
     input_sets: Sequence[InputSet],
-    processes: int = 0,
     **kwargs,
 ) -> BatchResult:
     """Convenience wrapper: one-off batched run of ``input_sets``
     (keyword arguments forward to :class:`BatchRunner`)."""
-    return BatchRunner(program, processes=processes, **kwargs).run(input_sets)
+    return BatchRunner(program, **kwargs).run(input_sets)

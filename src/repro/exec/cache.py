@@ -1,15 +1,17 @@
 """The compile cache: in-memory LRU over an optional on-disk layer.
 
 Lookup order is memory, then disk, then a real compile.  Disk entries
-are versioned pickles written atomically (temp file + ``os.replace``);
-*any* failure to read one — truncation, garbage bytes, a format-version
-bump, a key mismatch from a hash-renamed file — counts as a miss and the
-offending file is removed best-effort.  A corrupt cache can cost a
-recompile, never a crash or a wrong program.
+are versioned pickles written atomically (temp file + ``os.replace``),
+the program pickled inside its envelope next to its SHA-256 digest;
+*any* failure to read one — truncation, garbage bytes, a digest
+mismatch, a format-version bump, a key mismatch from a hash-renamed
+file — counts as a miss and the offending file is removed best-effort.
+A corrupt cache can cost a recompile, never a crash or a wrong program.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import pickle
 import tempfile
@@ -26,7 +28,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle at run time only
 
 #: Version of the on-disk pickle envelope (independent of the key
 #: version: bumping it invalidates files without changing keys).
-DISK_FORMAT_VERSION = 1
+DISK_FORMAT_VERSION = 2
 
 _ENTRY_SUFFIX = ".w2c"
 
@@ -67,8 +69,7 @@ class CompileCache:
 
     ``capacity`` bounds the in-memory layer (LRU eviction); evicted
     entries survive on disk when ``cache_dir`` is set.  Instances are
-    not thread-safe; per-process use is the intended shape (the batch
-    runner's worker processes each compile at most once per program).
+    not thread-safe; per-process use is the intended shape.
     """
 
     def __init__(
@@ -167,9 +168,11 @@ class CompileCache:
                 not isinstance(envelope, dict)
                 or envelope.get("format") != DISK_FORMAT_VERSION
                 or envelope.get("key") != key
+                or hashlib.sha256(envelope["program"]).hexdigest()
+                != envelope.get("sha256")
             ):
                 raise ValueError("cache envelope mismatch")
-            program = envelope["program"]
+            program = pickle.loads(envelope["program"])
         except Exception:
             # Truncated, garbage, wrong version, unpicklable class, …:
             # silently recompile (and drop the bad file so it cannot
@@ -189,10 +192,12 @@ class CompileCache:
         assert self._dir is not None
         try:
             self._dir.mkdir(parents=True, exist_ok=True)
+            payload = pickle.dumps(program, protocol=pickle.HIGHEST_PROTOCOL)
             envelope = {
                 "format": DISK_FORMAT_VERSION,
                 "key": key,
-                "program": program,
+                "sha256": hashlib.sha256(payload).hexdigest(),
+                "program": payload,
             }
             fd, tmp_name = tempfile.mkstemp(
                 dir=self._dir, prefix=".tmp-", suffix=_ENTRY_SUFFIX

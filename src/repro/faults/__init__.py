@@ -9,8 +9,7 @@ bounds are tight and that the engine fails loudly, never silently:
 * :mod:`repro.faults.plan` — :class:`InjectionPlan` /
   :class:`FaultSpec`, a seedable, serialisable description of which
   faults to inject where (dropped/duplicated sends, bit flips in queue
-  slots, stalled cells, shrunk queues, corrupted cache entries,
-  killed/hung batch workers);
+  slots, stalled cells, shrunk queues, corrupted cache entries);
 * :mod:`repro.faults.injector` — :class:`FaultInjector`, the runtime
   layer (the machine's fault seam, also used by :mod:`repro.exec`),
   plus :class:`FaultyQueue`, the integrity-checked queue that turns
@@ -18,7 +17,7 @@ bounds are tight and that the engine fails loudly, never silently:
   :class:`~repro.errors.SilentCorruptionDetected`.
 
 Detection pairs with recovery: the batch engine
-(:class:`repro.exec.BatchRunner`) retries transient faults with backoff
+(:class:`repro.exec.BatchRunner`) retries failed items with backoff
 and reports unrecoverable items as structured failure records; see
 ``docs/robustness.md`` for the full taxonomy and how to reproduce any
 injection from its seed.
@@ -30,7 +29,6 @@ from .plan import (
     FaultSpec,
     InjectionPlan,
     MACHINE_KINDS,
-    WORKER_KINDS,
     parse_inject_spec,
     parse_inject_specs,
 )
@@ -42,7 +40,6 @@ __all__ = [
     "FaultyQueue",
     "InjectionPlan",
     "MACHINE_KINDS",
-    "WORKER_KINDS",
     "flip_float_bits",
     "parse_inject_spec",
     "parse_inject_specs",

@@ -56,7 +56,6 @@ class FaultInjector(LinkFactory):
         self._stalls: dict[int, int] = {}
         self._capacities: dict[tuple[int, str], int] = {}
         self._cache_faults: dict[int, FaultSpec] = {}
-        self._worker_fault: FaultSpec | None = None
         self._occurrences: dict[str, int] = {}
         self._cache_reads = 0
         for spec in active:
@@ -73,10 +72,8 @@ class FaultInjector(LinkFactory):
                 )
             elif spec.kind is FaultKind.SHRINK_QUEUE:
                 self._capacities[(spec.cell, spec.channel)] = spec.capacity  # type: ignore[assignment]
-            elif spec.kind is FaultKind.CORRUPT_CACHE:
+            else:  # CORRUPT_CACHE
                 self._cache_faults[spec.index] = spec
-            else:  # worker kill / hang
-                self._worker_fault = spec
 
     def _record(self, spec: FaultSpec, detail: str = "") -> None:
         description = spec.describe() + (f" ({detail})" if detail else "")
@@ -145,7 +142,7 @@ class FaultInjector(LinkFactory):
         self._record(spec)
         return spec.kind, value
 
-    # Cache / worker sites -------------------------------------------------
+    # Cache site -----------------------------------------------------------
 
     def corrupt_blob(self, blob: bytes) -> bytes:
         """Apply any CORRUPT_CACHE fault to a disk-cache read."""
@@ -159,13 +156,6 @@ class FaultInjector(LinkFactory):
         corrupted[offset] ^= spec.bitmask & 0xFF or 0xFF
         self._record(spec, detail=f"byte {offset} of {len(blob)}")
         return bytes(corrupted)
-
-    def worker_action(self) -> FaultSpec | None:
-        """The kill/hang fault for this (item, attempt), if any."""
-        spec = self._worker_fault
-        if spec is not None:
-            self._record(spec, detail=f"attempt {self.attempt}")
-        return spec
 
     def report(self) -> list[str]:
         return list(self.fired)

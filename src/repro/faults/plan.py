@@ -3,8 +3,7 @@
 A plan is a plain, frozen dataclass so it can be
 
 * **serialised** — :meth:`InjectionPlan.to_json` /
-  :meth:`InjectionPlan.from_json` round-trip through JSON (the batch
-  runner ships plans to its worker processes this way), and
+  :meth:`InjectionPlan.from_json` round-trip through JSON, and
   :meth:`InjectionPlan.fingerprint` folds the plan into the compile
   cache key so a faulty run can never poison the cache with an artefact
   produced under injection;
@@ -50,13 +49,9 @@ class FaultKind(str, Enum):
     SHRINK_QUEUE = "shrink_queue"
     #: Corrupt the bytes of a disk compile-cache entry as it is read.
     CORRUPT_CACHE = "corrupt_cache"
-    #: Kill the batch worker process running a given item.
-    WORKER_KILL = "worker_kill"
-    #: Hang the batch worker process running a given item.
-    WORKER_HANG = "worker_hang"
 
 
-#: Kinds injected inside one machine run (vs cache / batch-worker kinds).
+#: Kinds injected inside one machine run (vs the cache kind).
 MACHINE_KINDS = frozenset(
     {
         FaultKind.DROP_SEND,
@@ -66,7 +61,6 @@ MACHINE_KINDS = frozenset(
         FaultKind.SHRINK_QUEUE,
     }
 )
-WORKER_KINDS = frozenset({FaultKind.WORKER_KILL, FaultKind.WORKER_HANG})
 
 
 @dataclass(frozen=True)
@@ -86,7 +80,6 @@ class FaultSpec:
     * ``bitmask`` — the XOR mask applied to the float64 bit pattern for
       ``FLIP_BITS`` (and to every byte offset it selects for
       ``CORRUPT_CACHE``).
-    * ``seconds`` — how long ``WORKER_HANG`` sleeps.
     * ``item`` — which batch item the fault applies to (``None`` means
       every item; one-shot ``simulate`` runs are item 0).
     * ``attempts`` — the fault fires on the first ``attempts`` attempts
@@ -101,7 +94,6 @@ class FaultSpec:
     cycles: int = 0
     capacity: int | None = None
     bitmask: int = 1 << 52
-    seconds: float = 30.0
     item: int | None = None
     attempts: int = 1
 
@@ -131,10 +123,8 @@ class FaultSpec:
             parts.append(
                 f"link={self.cell} channel={self.channel} capacity={self.capacity}"
             )
-        elif self.kind is FaultKind.CORRUPT_CACHE:
+        else:  # CORRUPT_CACHE
             parts.append(f"read={self.index}")
-        else:
-            parts.append(f"item={'*' if self.item is None else self.item}")
         return " ".join(parts)
 
     def to_json(self) -> dict[str, Any]:
@@ -184,10 +174,6 @@ class InjectionPlan:
         return any(spec.kind in MACHINE_KINDS for spec in self.specs)
 
     @property
-    def has_worker_faults(self) -> bool:
-        return any(spec.kind in WORKER_KINDS for spec in self.specs)
-
-    @property
     def has_cache_faults(self) -> bool:
         return any(spec.kind is FaultKind.CORRUPT_CACHE for spec in self.specs)
 
@@ -228,7 +214,7 @@ class InjectionPlan:
 
         Only machine-level kinds by default: a random plan is meant to
         be thrown at ``simulate`` (the soak and the property tests);
-        worker/cache faults need a batch/cache context to mean anything.
+        cache faults need a cache context to mean anything.
         """
         rng = random.Random(seed)
         kinds = tuple(kinds)
@@ -274,7 +260,7 @@ def parse_inject_spec(text: str) -> list[FaultSpec] | InjectionPlan:
 
     Examples: ``drop_send:cell=0,channel=X,index=2``,
     ``stall_cell:cell=1,cycles=500``, ``shrink_queue:link=1,capacity=3``,
-    ``worker_kill:item=2``, ``random:seed=42``.
+    ``drop_send:item=2,attempts=1``, ``random:seed=42``.
     """
     head, _, rest = text.partition(":")
     head = head.strip().lower()
@@ -311,8 +297,6 @@ def parse_inject_spec(text: str) -> list[FaultSpec] | InjectionPlan:
             raise ValueError(f"unknown --inject parameter {key!r} for {head}")
         if name == "channel":
             fields[name] = value.upper()
-        elif name == "seconds":
-            fields[name] = float(value)
         elif name == "bitmask":
             fields[name] = int(value, 0)
         else:

@@ -242,7 +242,6 @@ def metrics_to_json(
     if batch is not None:
         document["batch"] = {
             "items": batch.n_items,
-            "processes": batch.processes,
             "total_cycles": batch.total_cycles,
             "cycles_per_item": batch.cycles_per_item,
             "wall_seconds": batch.wall_seconds,

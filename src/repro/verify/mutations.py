@@ -71,6 +71,7 @@ def mutate(program: "CompiledProgram", kind: str, seed: int) -> Mutant | None:
         raise ValueError(f"unknown mutation kind {kind!r}")
     rng = random.Random((MUTATION_KINDS.index(kind) + 1) * 65_537 + seed)
     mutant = copy.deepcopy(program)
+    mutant.verified = "off"  # surgery voids any verification passed
     description = _APPLIERS[kind](mutant, rng)
     if description is None:
         return None

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import importlib.util
 import os
-import signal
 from pathlib import Path
 
 # Every compile in the test suite runs the independent schedule verifier
@@ -28,50 +27,6 @@ from repro.programs import (
     passthrough,
     polynomial,
 )
-
-
-def pytest_configure(config: pytest.Config) -> None:
-    config.addinivalue_line(
-        "markers",
-        "timeout(seconds): fail the test if it runs longer than the "
-        "given wall time (pytest-timeout when installed, a SIGALRM "
-        "fallback otherwise)",
-    )
-
-
-@pytest.hookimpl(hookwrapper=True)
-def pytest_runtest_call(item: pytest.Item):
-    """Honour ``@pytest.mark.timeout`` without pytest-timeout.
-
-    The multiprocessing tests guard against a hung pool with per-test
-    timeouts; when the real plugin is absent (it is optional) a SIGALRM
-    alarm provides the same safety net on the main thread.  No-op when
-    pytest-timeout is installed (it owns the marker then) or off Unix.
-    """
-    marker = item.get_closest_marker("timeout")
-    use_fallback = (
-        marker is not None
-        and not item.config.pluginmanager.hasplugin("timeout")
-        and hasattr(signal, "SIGALRM")
-    )
-    if not use_fallback:
-        yield
-        return
-    seconds = int(marker.args[0]) if marker.args else 60
-
-    def _expired(_signum, _frame):
-        raise TimeoutError(
-            f"{item.nodeid} exceeded its {seconds}s timeout (SIGALRM "
-            "fallback; install pytest-timeout for richer reporting)"
-        )
-
-    previous = signal.signal(signal.SIGALRM, _expired)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def pytest_addoption(parser: pytest.Parser) -> None:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import repro.exec.cache as cache_module
-from repro.cli import main
+from repro.cli import build_parser, main
 
 
 @pytest.fixture(autouse=True)
@@ -249,6 +249,23 @@ class TestBatchCommand:
         assert "batch: 4 items" in out
         assert "cycles/item" in out and "items/s" in out
         assert "compile cache:" in out
+
+    def test_unroll_auto(self, capsys):
+        assert main(
+            ["batch", "polynomial", "--unroll", "auto", "--items", "2"]
+        ) == 0
+        assert "batch: 2 items" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "command",
+        ["compile", "timing", "run", "profile", "compare", "batch",
+         "verify", "check"],
+    )
+    def test_every_compiling_subcommand_accepts_unroll_auto(self, command):
+        args = build_parser().parse_args(
+            [command, "polynomial", "--unroll", "auto"]
+        )
+        assert args.unroll == "auto"
 
     def test_npz_inputs_and_stacked_output(self, tmp_path, capsys):
         items = np.arange(12.0).reshape(3, 4)  # 3 items of din[4]

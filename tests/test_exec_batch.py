@@ -1,7 +1,7 @@
 """BatchRunner: batched execution vs one-shot simulation.
 
 The contract under test: batching changes *where static state lives*
-(one reused machine, optionally worker processes), never *what the
+(one reused machine, one lane run for a clean batch), never *what the
 machine computes* — outputs and cycle counts are bit-identical to
 independent ``simulate`` calls, item for item, in item order.
 """
@@ -34,7 +34,6 @@ class TestSerialBatch:
         items = _items(rng, 6)
         batched = run_batch(program, items)
         assert batched.n_items == 6
-        assert batched.processes == 1
         for item, result in zip(items, batched.results):
             expected = simulate(program, item)
             assert np.array_equal(
@@ -171,23 +170,31 @@ end
         assert "lane_blocks" in vars(machine.plan)
 
 
-@pytest.mark.timeout(120)
 class TestMultiprocessBatch:
-    def test_pool_bit_identical_and_ordered(self, program, rng):
-        items = _items(rng, 8)
-        serial = run_batch(program, items)
-        pooled = run_batch(program, items, processes=2)
-        assert pooled.processes == 2
-        assert pooled.n_items == serial.n_items
-        for mine, theirs in zip(pooled.results, serial.results):
-            assert np.array_equal(
-                mine.outputs["results"], theirs.outputs["results"]
-            )
-            assert mine.total_cycles == theirs.total_cycles
+    """Batches run in process only: ``processes`` accepts just 0, and
+    both in-process paths match one-shot runs bit for bit."""
 
-    def test_single_item_stays_in_process(self, program, rng):
-        batched = run_batch(program, _items(rng, 1), processes=4)
-        assert batched.processes == 1  # pool not worth spawning
+    def test_pool_bit_identical_and_ordered(self, program, rng):
+        from repro import obs
+        from repro.faults import InjectionPlan
+
+        items = _items(rng, 8)
+        with obs.collecting() as telemetry:
+            lanes = run_batch(program, items, processes=0)
+        assert telemetry.counters["exec.batch.lane_items"] == 8
+        per_item = run_batch(program, items, faults=InjectionPlan())
+        for batch in (lanes, per_item):
+            assert batch.ok and batch.n_items == 8
+            for item, result in zip(items, batch.results):
+                expected = simulate(program, item)
+                for name, values in expected.outputs.items():
+                    assert result.outputs[name].tobytes() == values.tobytes()
+                assert result.total_cycles == expected.total_cycles
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_nonzero_processes_rejected(self, program, processes):
+        with pytest.raises(ValueError, match="processes must be 0"):
+            BatchRunner(program, processes=processes)
 
     def test_negative_processes_rejected(self, program):
         with pytest.raises(ValueError):

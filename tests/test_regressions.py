@@ -13,6 +13,7 @@ import repro
 from repro.compiler import compile_w2
 from repro.lang import analyze, parse_module
 from repro.machine import interpret, simulate
+from repro.programs import polynomial
 
 
 def check(source, inputs):
@@ -572,3 +573,77 @@ class TestDeclaredDependenciesOnly:
         )
         assert completed.returncode == 0, completed.stderr
         assert completed.stdout.strip() == "False"
+
+
+class TestCacheHitHonoursVerifyLevel:
+    """A ``CompileCache`` hit returned the cached artefact without
+    running the verify level the caller asked for: compile with
+    ``verify="off"``, ask again with ``verify="full"``, and no verifier
+    ran.  A hit now carries the level its artefacts passed and is
+    verified first when the request asks for a stronger one."""
+
+    SOURCE = polynomial(8, 3)
+
+    @staticmethod
+    def _config(level: str):
+        import dataclasses
+
+        from repro.config import DEFAULT_CONFIG
+
+        return dataclasses.replace(DEFAULT_CONFIG, verify=level)
+
+    def test_full_request_rejects_an_unverified_mutant(self):
+        from repro.errors import VerificationError
+        from repro.exec import CompileCache
+        from repro.exec.keys import cache_key
+        from repro.verify.mutations import mutate
+
+        cache = CompileCache()
+        off = self._config("off")
+        clean = compile_w2(self.SOURCE, config=off, cache=cache)
+        mutant = mutate(clean, "shrink_queue_bound", seed=0)
+        assert mutant is not None
+        cache.put(cache_key(self.SOURCE, off), mutant.program)
+        with pytest.raises(VerificationError):
+            compile_w2(self.SOURCE, config=self._config("full"), cache=cache)
+        assert cache.last_event == "memory-hit"
+
+    def test_hit_is_verified_once_per_stronger_level(self):
+        from repro import obs
+        from repro.exec import CompileCache
+
+        cache = CompileCache()
+        compile_w2(self.SOURCE, config=self._config("off"), cache=cache)
+        verify_spans = []
+        for level in ("quick", "quick", "full", "full", "off"):
+            with obs.collecting() as telemetry:
+                compile_w2(
+                    self.SOURCE, config=self._config(level), cache=cache
+                )
+            assert cache.last_event == "memory-hit"
+            verify_spans.append(
+                sum(span.name == "verify" for span in telemetry.spans)
+            )
+        assert verify_spans == [1, 0, 1, 0, 0]
+
+
+class TestDiskCacheEntryDigest:
+    """The disk compile cache trusted any entry that unpickled: 448 of
+    the 8393 one-byte flips of a polynomial(8,3) entry still loaded, as
+    a different program, so a corrupt entry could be served as a hit.
+    Entries now carry the SHA-256 of the pickled program."""
+
+    def test_every_one_byte_flip_is_a_miss(self, tmp_path):
+        from repro.exec import CompileCache
+
+        compile_w2(polynomial(8, 3), cache=CompileCache(cache_dir=tmp_path))
+        (entry,) = tmp_path.glob("*.w2c")
+        blob = entry.read_bytes()
+        served = []
+        for offset in range(len(blob)):
+            corrupted = bytearray(blob)
+            corrupted[offset] ^= 0xFF
+            entry.write_bytes(bytes(corrupted))
+            if CompileCache(cache_dir=tmp_path).get(entry.stem) is not None:
+                served.append(offset)
+        assert served == []
